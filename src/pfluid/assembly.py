@@ -1,8 +1,23 @@
 """Weak-form assembly and saddle-point linear algebra.
 
-All bilinear forms are assembled cellwise with vectorized einsum
-contractions and scattered into scipy.sparse matrices.  The convection
-trilinear form is used in the skew-symmetrized version
+Bilinear forms are assembled cellwise from batched two-operand
+contractions (einsum or matmul over the cell axis).  Mass, stiffness
+and divergence are scattered into scipy.sparse matrices; the stress
+linearization and the convection return element matrices of shape
+(n_cells, d*n_local, d*n_local) on ``FESpace.local_vector_dofs``, which
+``global_matrix`` scatters when a sparse matrix is wanted.
+
+The stress linearization uses the closed form of the derivative of
+S(P) = (delta + |sym P|)^(p-2) sym P,
+
+    DS(P) = g Sym + radial A (x) A,    A = sym P,
+
+from ``StressModel.jacobian_factors``.  Its element matrices are the
+g-weighted symmetric-gradient form plus, for Newton only, the rank-one
+term radial v (x) v with v[s, a] = A[s, l] d_l phi_a; Picard is the
+symmetric-gradient form with the frozen weight max(delta+t, floor)^(p-2).
+No 4-index tensor is formed.  The convection trilinear form is used in
+the skew-symmetrized version
 
     b(u, v, w) = 1/2 [ ([grad v] u, w) - ([grad w] u, v) ],
 
@@ -17,13 +32,16 @@ zero pressure mean:
     [ B    0    w ] [q] = [g]
     [ 0   w^T   0 ] [a]   [0]
 
-with w the pressure-basis means; Dirichlet rows are replaced by the
-identity.
+with w the pressure-basis means; Dirichlet rows and columns of A and B
+are dropped and replaced by the identity.  ``SaddleSystem`` builds the
+CSC pattern of this matrix once, with a scatter map for each source of
+A-block entries, so refilling the matrix is one ``np.bincount`` per
+source.  Its ``solve`` is the one factor-and-solve routine: Newton and
+Picard iterations and ``solve_saddle`` all use it, and it rejects
+non-finite solutions.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -128,6 +146,30 @@ def assemble_rhs(space, f, degree=5):
     return out
 
 
+def global_matrix(v_space, local):
+    """Sparse matrix of vector element matrices on local_vector_dofs()."""
+    dofs = v_space.local_vector_dofs()
+    return _scatter(local, dofs, dofs, (v_space.n_dofs, v_space.n_dofs))
+
+
+def _sym_gradient_local(wg, gphys):
+    """Element matrices of (wg Dv, Dw), shape (nc, d, nloc, d, nloc).
+
+    With D the symmetric gradient the (i, a; j, b) entry is
+    1/2 sum_q wg [delta_ij grad(phi_a).grad(phi_b) + d_j phi_a d_i phi_b].
+    """
+    nc, nq, nloc, d = gphys.shape
+    G = gphys.reshape(nc, nq, nloc * d)
+    # Y[c, a, j, b, i] = sum_q wg d_j phi_a d_i phi_b
+    Y = np.matmul(np.swapaxes(wg[:, :, None] * G, 1, 2), G)
+    Y = Y.reshape(nc, nloc, d, nloc, d)
+    local = 0.5 * Y.transpose(0, 4, 1, 2, 3)
+    lap = np.einsum("calbl->cab", Y)
+    for i in range(d):
+        local[:, i, :, i, :] += 0.5 * lap
+    return local
+
+
 def assemble_stress(v_space, coeffs, model: StressModel, degree=5, jacobian="newton",
                     jac_delta_floor=1e-8):
     """Stress residual (S(Du), Dv) and optional linearization.
@@ -136,94 +178,147 @@ def assemble_stress(v_space, coeffs, model: StressModel, degree=5, jacobian="new
     at jac_delta_floor to keep the weight representable), "picard" for
     the frozen-weight secant operator, or None for residual only.
     The residual always uses the unmodified model.
+
+    Returns (residual, local) with local the element matrices of the
+    linearization, shape (n_cells, d*n_local, d*n_local) on
+    ``v_space.local_vector_dofs()`` (None for jacobian=None); see
+    ``global_matrix``.
     """
     grad = v_space.grad_at_qp(coeffs, degree)
     _, _, gphys, _ = v_space.tabulation(degree)
     wd = _wdet(v_space, degree)
     S = model.stress(grad)
     res_cell = np.einsum("cq,cqil,cqal->cia", wd, S, gphys)
-    nc = v_space.mesh.n_cells
+    nc, nq, nloc, d = gphys.shape
     residual = np.zeros(v_space.n_dofs)
     dofs = v_space.local_vector_dofs()
     np.add.at(residual, dofs, res_cell.reshape(nc, -1))
     if jacobian is None:
         return residual, None
 
-    nloc = v_space.n_local
-    d = v_space.mesh.dim
+    # DS = g Sym + radial A (x) A: the g part is the weighted
+    # symmetric-gradient form, the radial part the rank-one term
+    # radial v (x) v with v[s, a] = A[s, l] d_l phi_a
     if jacobian == "newton":
         jmodel = model
         if model.delta < jac_delta_floor:
             jmodel = StressModel(model.p, jac_delta_floor, model.dim)
-        J4 = jmodel.stress_jacobian(grad)
-        local = np.einsum("cq,cqsltm,cqal,cqbm->csatb", wd, J4, gphys, gphys)
+        A, g, radial = jmodel.jacobian_factors(grad)
+        local = _sym_gradient_local(wd * g, gphys).reshape(nc, d * nloc, d * nloc)
+        v = np.matmul(A, np.swapaxes(gphys, 2, 3)).reshape(nc, nq, d * nloc)
+        local += np.matmul(np.swapaxes((wd * radial)[:, :, None] * v, 1, 2), v)
     elif jacobian == "picard":
         from .pstructure import _safe_pow, sym_part, tensor_norm
 
         t = tensor_norm(sym_part(grad))
         shift = np.maximum(model.delta + t, jac_delta_floor)
         g = _safe_pow(shift, model.p - 2.0)
-        wg = wd * g
-        # frozen-weight operator g (Dv, Dw) with D the symmetric gradient:
-        # 1/2 [delta_ij grad(phi_a).grad(phi_b) + d_j phi_a d_i phi_b]
-        term1 = np.einsum("cq,cqal,cqbl->cab", wg, gphys, gphys)
-        local = 0.5 * np.einsum("cq,cqaj,cqbi->ciajb", wg, gphys, gphys)
-        for i in range(d):
-            local[:, i, :, i, :] += 0.5 * term1
+        local = _sym_gradient_local(wd * g, gphys).reshape(nc, d * nloc, d * nloc)
     else:
         raise ValueError(f"unknown jacobian mode {jacobian!r}")
-    K = _scatter(
-        local.reshape(nc, d * nloc, d * nloc), dofs, dofs,
-        (v_space.n_dofs, v_space.n_dofs),
-    )
-    return residual, K
+    return residual, local
 
 
 def assemble_convection(v_space, transport_coeffs, degree=None):
-    """Skew-symmetrized convection matrix for a frozen transport field."""
+    """Skew-symmetrized convection for a frozen transport field.
+
+    Returns element matrices in the layout of ``assemble_stress``: the
+    same scalar skew block for every component, zero coupling between
+    components.
+    """
     if degree is None:
         degree = 3 * v_space.element.degree
     _, phi, gphys, _ = v_space.tabulation(degree)
     wvals = v_space.eval_at_qp(transport_coeffs, degree)
     wd = _wdet(v_space, degree)
-    C_local = np.einsum("cq,cqi,cqbi,qa->cab", wd, wvals, gphys, phi)
-    n = v_space.n_scalar
-    C = _scatter(C_local, v_space.cell_dofs, v_space.cell_dofs, (n, n))
-    skew = 0.5 * (C - C.T)
-    return sparse.block_diag([skew] * v_space.n_components, format="csr")
+    # C[c, a, b] = sum_q wd (u . grad phi_b) phi_a
+    transport = np.einsum("cqi,cqbi->cqb", wd[:, :, None] * wvals, gphys)
+    C = np.matmul(phi.T, transport)
+    nc, nloc = C.shape[:2]
+    d = v_space.n_components
+    local = np.zeros((nc, d, nloc, d, nloc))
+    for i in range(d):
+        local[:, i, :, i, :] = 0.5 * (C - np.swapaxes(C, 1, 2))
+    return local.reshape(nc, d * nloc, d * nloc)
 
 
-def apply_dirichlet_matrix(A, bdofs, identity=True):
-    """Zero constrained rows and columns; optionally set unit diagonal."""
-    n = A.shape[0]
-    free = np.ones(n)
-    free[bdofs] = 0.0
-    Df = sparse.diags(free)
-    out = (Df @ A @ Df).tocsr()
-    if identity:
-        out = out + sparse.diags(1.0 - free)
-    return out.tocsr()
-
-
-@dataclass
 class SaddleSystem:
-    """Augmented velocity/pressure system with mean constraint."""
+    """Augmented velocity/pressure matrix on a sparsity pattern built once.
 
-    A: sparse.csr_matrix
-    B: sparse.csr_matrix
-    w: np.ndarray
-    bdofs: np.ndarray
+    The CSC pattern holds the A block's entries from every source in
+    ``entries`` (a sequence of (rows, cols) index arrays) outside the
+    Dirichlet rows and columns, a unit diagonal on the Dirichlet dofs,
+    the free columns of B and -B^T, and the nonzero entries of w.  A
+    matrix on the pattern is its ``data`` array: ``base`` holds the
+    fixed blocks, ``scatter(k, values)`` adds values given in the order
+    of entries[k], and ``solve`` factors and solves.
+    """
 
-    def matrix(self):
-        A = apply_dirichlet_matrix(self.A, self.bdofs)
-        free = np.ones(self.A.shape[0])
-        free[self.bdofs] = 0.0
-        Bf = (self.B @ sparse.diags(free)).tocsr()
-        wcol = sparse.csr_matrix(self.w[:, None])
-        return sparse.bmat(
-            [[A, -Bf.T, None], [Bf, None, wcol], [None, wcol.T, None]],
-            format="csc",
-        )
+    def __init__(self, entries, B, w, bdofs):
+        B = sparse.coo_matrix(B)
+        self.nq, self.nu = B.shape
+        n = self.nu + self.nq + 1
+        self.shape = (n, n)
+        self.bdofs = np.asarray(bdofs, dtype=np.int64)
+        free = np.ones(self.nu, dtype=bool)
+        free[self.bdofs] = False
+
+        rows, cols, keeps = [], [], []
+        for r, c in entries:
+            r = np.ravel(r)
+            c = np.ravel(c)
+            keep = free[r] & free[c]
+            rows.append(r[keep])
+            cols.append(c[keep])
+            keeps.append(keep)
+        inB = free[B.col] & (B.data != 0.0)
+        bq, bu, bval = B.row[inB] + self.nu, B.col[inB], B.data[inB]
+        ew = np.flatnonzero(w)
+        wrow = np.full(len(ew), n - 1)
+        fixed_rows = [self.bdofs, bu, bq, ew + self.nu, wrow]
+        fixed_cols = [self.bdofs, bq, bu, wrow, ew + self.nu]
+        fixed_vals = np.concatenate([np.ones(len(self.bdofs)), -bval, bval, w[ew], w[ew]])
+
+        keys = (np.concatenate(cols + fixed_cols).astype(np.int64) * n
+                + np.concatenate(rows + fixed_rows))
+        uniq, pos = np.unique(keys, return_inverse=True)
+        self.nnz = len(uniq)
+        self.indices = (uniq % n).astype(np.int32)
+        self.indptr = np.searchsorted(uniq // n, np.arange(n + 1)).astype(np.int32)
+        # entries in Dirichlet rows or columns go to a trailing dump slot
+        self._maps = []
+        start = 0
+        for keep in keeps:
+            stop = start + np.count_nonzero(keep)
+            m = np.full(len(keep), self.nnz)
+            m[keep] = pos[start:stop]
+            self._maps.append(m)
+            start = stop
+        self.base = np.bincount(pos[start:], weights=fixed_vals, minlength=self.nnz)
+
+    def scatter(self, k, values):
+        """Data array of the values of source k, summed into the pattern."""
+        out = np.bincount(self._maps[k], weights=np.ravel(values),
+                          minlength=self.nnz + 1)
+        return out[:-1]
+
+    def csc(self, data):
+        return sparse.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
+
+    def solve(self, data, rhs):
+        """Factor the matrix with the given data and solve for rhs.
+
+        Raises LinearSolveError when the factorization fails or the
+        solution is not finite.
+        """
+        try:
+            lu = splu(self.csc(data))
+            x = lu.solve(rhs)
+        except RuntimeError as exc:  # SuperLU signals singularity this way
+            raise LinearSolveError(str(exc)) from exc
+        if not np.all(np.isfinite(x)):
+            raise LinearSolveError("non-finite solution from sparse solve")
+        return x
 
     def rhs(self, rhs_u, rhs_q):
         f = np.array(rhs_u, dtype=float)
@@ -231,20 +326,7 @@ class SaddleSystem:
         return np.concatenate([f, rhs_q, [0.0]])
 
     def split(self, x):
-        nu = self.A.shape[0]
-        nq = self.B.shape[0]
-        return x[:nu], x[nu : nu + nq], float(x[-1])
-
-
-def apply_dirichlet(system: SaddleSystem, boundary_dofs) -> SaddleSystem:
-    """Attach homogeneous Dirichlet constraints to a saddle system.
-
-    The returned system eliminates the listed velocity dofs
-    symmetrically (identity rows/cols in A, zeroed B columns, zeroed
-    rhs entries) when its matrix and rhs are formed.
-    """
-    return SaddleSystem(system.A, system.B, system.w,
-                        np.asarray(boundary_dofs, dtype=np.int64))
+        return x[: self.nu], x[self.nu : self.nu + self.nq], float(x[-1])
 
 
 def solve_saddle(A, B, w, rhs_u, rhs_q, bdofs):
@@ -253,14 +335,7 @@ def solve_saddle(A, B, w, rhs_u, rhs_q, bdofs):
     Returns (u, q, alpha); raises LinearSolveError when the
     factorization fails or produces non-finite values.
     """
-    sys = SaddleSystem(A.tocsr(), B.tocsr(), np.asarray(w, dtype=float),
-                       np.asarray(bdofs, dtype=np.int64))
-    K = sys.matrix()
-    try:
-        lu = splu(K)
-        x = lu.solve(sys.rhs(rhs_u, rhs_q))
-    except Exception as exc:  # scipy raises bare RuntimeError on singularity
-        raise LinearSolveError(str(exc)) from exc
-    if not np.all(np.isfinite(x)):
-        raise LinearSolveError("non-finite solution from sparse solve")
+    A = sparse.coo_matrix(A)
+    sys = SaddleSystem([(A.row, A.col)], B, np.asarray(w, dtype=float), bdofs)
+    x = sys.solve(sys.base + sys.scatter(0, A.data), sys.rhs(rhs_u, rhs_q))
     return sys.split(x)

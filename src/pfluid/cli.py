@@ -480,8 +480,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--output", default=None, help="output directory")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="thread budget for linear algebra backends")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
     args = parser.parse_args(argv)
@@ -491,11 +489,6 @@ def main(argv=None) -> int:
         level=getattr(logging, level, logging.WARNING),
         format="%(levelname)s %(name)s: %(message)s",
     )
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
-
     try:
         text = Path(args.config).read_text()
     except OSError as e:
@@ -523,6 +516,11 @@ def main(argv=None) -> int:
         # module-level rejection of inconsistent run parameters
         print(_error_json(e, 2), file=sys.stderr)
         return 2
+    except Exception as e:
+        # any other failure still ends in the one JSON error object
+        log.debug("unexpected error", exc_info=True)
+        print(_error_json(e, 5), file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

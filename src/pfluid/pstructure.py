@@ -108,11 +108,16 @@ class StressModel:
         g = _safe_pow(tot, 0.5 * (self.p - 2.0))
         return g[..., None, None] * A
 
-    def stress_jacobian(self, P):
-        """Derivative of the stress in P, shape (..., d, d, d, d).
+    def jacobian_factors(self, P):
+        """Factors of the stress derivative, returned as (A, g, radial).
 
-        Index convention: J[..., i, j, k, l] = d S_ij / d P_kl.  The
-        result is symmetric under (i,j,k,l) -> (k,l,i,j).
+        With A = sym P and t = |A| the derivative is
+
+            DS(P) = g Sym + radial A (x) A,
+
+        g = (delta+t)^(p-2) and radial = g'(t)/t = (p-2)(delta+t)^(p-3)/t,
+        where Sym is the projection onto symmetric tensors.  A has shape
+        (..., d, d); g and radial have shape (...).
 
         Raises
         ------
@@ -129,11 +134,21 @@ class StressModel:
             )
         p = self.p
         g = _safe_pow(tot, p - 2.0)
-        # radial part: g'(t)/t * A (x) A with g'(t) = (p-2)(delta+t)^(p-3);
         # the limit for t -> 0 (delta > 0) is zero since |A (x) A| = t^2
         tsafe = np.where(t > 0.0, t, 1.0)
         radial = (p - 2.0) * _safe_pow(tot, p - 3.0) / tsafe
         radial = np.where(t > 0.0, radial, 0.0)
+        return A, g, radial
+
+    def stress_jacobian(self, P):
+        """Derivative of the stress in P, shape (..., d, d, d, d).
+
+        Index convention: J[..., i, j, k, l] = d S_ij / d P_kl.  The
+        result is symmetric under (i,j,k,l) -> (k,l,i,j).  Built from
+        ``jacobian_factors``, which raises DegenerateGradientError at
+        sym P = 0 when delta = 0.
+        """
+        A, g, radial = self.jacobian_factors(P)
         d = A.shape[-1]
         eye = np.eye(d)
         sym4 = 0.5 * (
@@ -214,6 +229,7 @@ class ShiftedNFunction:
         return self.model.delta + self.a
 
     def value(self, t):
+        """phi_a(t), broadcasting t against an array shift a."""
         t = np.asarray(t, dtype=float)
         if np.any(t < 0.0):
             raise ValueError("N-function argument must be nonnegative")
@@ -230,15 +246,14 @@ class ShiftedNFunction:
             + cp / (p - 1.0)
             - cp / p
         )
-        if c == 0.0:
-            return closed
         # the closed form cancels catastrophically for t << c; switch to
-        # the series c^(p-2) sum_k binom(p-2,k) t^(k+2) / ((k+2) c^k)
+        # the series c^(p-2) sum_k binom(p-2,k) t^(k+2) / ((k+2) c^k).
+        # Never taken where c = 0.
         small = t < 1e-2 * c
         if not np.any(small):
             return closed
-        ratio = t / c
-        series = np.zeros_like(t)
+        ratio = t / np.where(c > 0.0, c, 1.0)
+        series = np.zeros_like(ratio)
         coeff = 1.0
         for k in range(8):
             series = series + coeff * ratio**k / (k + 2.0)
@@ -349,20 +364,10 @@ def equivalence_ratios(model: StressModel, P, Q):
     FQ = model.f_map(B)
     f_sq = tensor_norm(FP - FQ) ** 2
 
+    shifted = model.shifted(ta)
+    shifted_val = shifted.value(tdiff)
+    shifted_prime = shifted.derivative(tdiff)
     p = model.p
-    c = model.delta + ta
-    ct = c + tdiff
-    if p == 2.0:
-        shifted_val = 0.5 * tdiff * tdiff
-    else:
-        cp = _safe_pow(c, p)
-        shifted_val = (
-            _safe_pow(ct, p) / p
-            - c * _safe_pow(ct, p - 1.0) / (p - 1.0)
-            + cp / (p - 1.0)
-            - cp / p
-        )
-    shifted_prime = _safe_pow(ct, p - 2.0) * tdiff
     ssum = ta + tb
     second_exact = _safe_pow(model.delta + ssum, p - 3.0) * (
         model.delta + (p - 1.0) * ssum

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import time
 
 import numpy as np
-from scipy.sparse.linalg import splu
 
 from . import assembly
 from .fespace import DiscreteField, div_preserving_projection
@@ -90,6 +89,15 @@ class StepperContext:
         self.bdofs = v_space.boundary_dofs()
         self._free = np.ones(v_space.n_dofs)
         self._free[self.bdofs] = 0.0
+        # KKT pattern: every velocity pair sharing a cell, plus the fixed blocks
+        dofs = v_space.local_vector_dofs()
+        nl = dofs.shape[1]
+        M = self.M.tocoo()
+        self.kkt = assembly.SaddleSystem(
+            [(np.repeat(dofs, nl, axis=1), np.tile(dofs, (1, nl))), (M.row, M.col)],
+            self.B, self.w, self.bdofs,
+        )
+        self._fixed_data = self.kkt.base + self.kkt.scatter(1, M.data / self.kappa)
 
     def _residual(self, U, Q, alpha, U_prev, N, F):
         s, _ = assembly.assemble_stress(
@@ -101,13 +109,13 @@ class StepperContext:
         Ra = float(self.w @ Q)
         return np.concatenate([Ru, Rq, [Ra]])
 
-    def _linear_matrix(self, U, N, mode):
+    def _solve(self, U, step_data, mode, rhs):
+        """Solve with the step's matrix plus the stress linearization at U."""
         _, K = assembly.assemble_stress(
             self.v_space, U, self.model, degree=self.opts.quad_degree,
             jacobian=mode, jac_delta_floor=self.opts.jac_delta_floor,
         )
-        A = self.M / self.kappa + N + K
-        return assembly.SaddleSystem(A.tocsr(), self.B, self.w, self.bdofs)
+        return self.kkt.solve(step_data + self.kkt.scatter(0, K), rhs)
 
     def step(self, U_prev, Q_prev, t_m, f=None, initial=None):
         """Advance one step; returns (U, Q, StepDiagnostics)."""
@@ -118,9 +126,11 @@ class StepperContext:
             F = assembly.assemble_rhs(self.v_space, f, degree=opts.data_degree)
         else:
             F = np.zeros(nu)
-        N = assembly.assemble_convection(self.v_space, U_prev)
-        scale = float(np.linalg.norm(F + self.M @ U_prev / self.kappa))
-        tol_eff = max(opts.tol * scale, opts.abs_tol)
+        N_local = assembly.assemble_convection(self.v_space, U_prev)
+        N = assembly.global_matrix(self.v_space, N_local)
+        step_data = self._fixed_data + self.kkt.scatter(0, N_local)
+        rhs_u = F + self.M @ U_prev / self.kappa
+        tol_eff = max(opts.tol * float(np.linalg.norm(rhs_u)), opts.abs_tol)
 
         if initial is not None:
             U, Q = np.array(initial[0], dtype=float), np.array(initial[1], dtype=float)
@@ -154,14 +164,16 @@ class StepperContext:
             if mode == "newton" and newton_iters >= opts.max_newton:
                 mode = "picard"
             if mode == "newton":
-                sys = self._linear_matrix(U, N, "newton")
                 try:
-                    lu = splu(sys.matrix())
-                except RuntimeError as exc:
-                    raise NonConvergenceError(
-                        f"factorization failed at t={t_m:.6g}: {exc}"
-                    ) from exc
-                d = lu.solve(-R)
+                    d = self._solve(U, step_data, "newton", -R)
+                except assembly.LinearSolveError:
+                    # singular or non-finite direction: no line search can
+                    # use it, so the step continues with Picard
+                    mode = "picard"
+                    newton_iters += 1
+                    total_iters += 1
+                    history.append(rnorm)
+                    continue
                 lam = 1.0
                 accepted = False
                 for _ in range(opts.max_backtrack + 1):
@@ -186,18 +198,14 @@ class StepperContext:
             else:
                 # secant iteration with the frozen-weight operator; direct
                 # iterate, no line search
-                sys = self._linear_matrix(U, N, "picard")
-                rhs_u = F + self.M @ U_prev / self.kappa
                 try:
-                    U_new, Q_new, a_new = assembly.solve_saddle(
-                        sys.A, self.B, self.w, rhs_u, np.zeros(nq), self.bdofs
-                    )
+                    x = self._solve(U, step_data, "picard",
+                                    self.kkt.rhs(rhs_u, np.zeros(nq)))
                 except assembly.LinearSolveError as exc:
                     raise NonConvergenceError(
                         f"linear solve failed at t={t_m:.6g}: {exc}"
                     ) from exc
-                x = np.concatenate([U_new, Q_new, [a_new]])
-                R = self._residual(U_new, Q_new, a_new, U_prev, N, F)
+                R = self._residual(*unpack(x), U_prev, N, F)
                 rnorm = float(np.linalg.norm(R))
                 history.append(rnorm)
                 total_iters += 1

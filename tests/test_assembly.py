@@ -1,5 +1,6 @@
-"""Assembly oracles: hand-computed energies, local matrices, and
-independent quadrature for the convection form."""
+"""Assembly oracles: hand-computed energies, local matrices,
+independent quadrature for the convection form, and reference
+contractions for the stress, convection and saddle operators."""
 
 import numpy as np
 import pytest
@@ -8,26 +9,35 @@ from scipy import sparse
 from pfluid.assembly import (
     LinearSolveError,
     SaddleSystem,
-    apply_dirichlet,
-    apply_dirichlet_matrix,
     assemble_convection,
     assemble_divergence,
     assemble_mass,
     assemble_rhs,
     assemble_stiffness,
     assemble_stress,
+    global_matrix,
     pressure_mean_vector,
     solve_saddle,
 )
 from pfluid.fespace import FESpace, element_pair, interpolate
 from pfluid.mesh import unit_square_mesh
 from pfluid.pstructure import StressModel
+from pfluid.stepper import StepperContext
+
+
+def spaces(pair, n):
+    vel, pre = element_pair(pair)
+    mesh = unit_square_mesh(n)
+    return FESpace(mesh, vel, n_components=2), FESpace(mesh, pre)
 
 
 def mini_spaces(n):
-    vel, pre = element_pair("MINI")
-    mesh = unit_square_mesh(n)
-    return FESpace(mesh, vel, n_components=2), FESpace(mesh, pre)
+    return spaces("MINI", n)
+
+
+def stress_matrix(vs, c, model, jacobian):
+    _, local = assemble_stress(vs, c, model, jacobian=jacobian)
+    return global_matrix(vs, local)
 
 
 def vector_field(space, f):
@@ -144,7 +154,7 @@ def test_stress_residual_zero_at_origin():
     model = StressModel(1.6, 0.2)
     r, K = assemble_stress(vs, np.zeros(vs.n_dofs), model)
     assert np.all(r == 0.0)
-    assert K.shape == (vs.n_dofs, vs.n_dofs)
+    assert global_matrix(vs, K).shape == (vs.n_dofs, vs.n_dofs)
 
 
 def test_stress_p2_is_symmetric_gradient_form():
@@ -153,8 +163,9 @@ def test_stress_p2_is_symmetric_gradient_form():
     model = StressModel(2.0, 0.7)
     rng = np.random.default_rng(3)
     c = rng.standard_normal(vs.n_dofs)
-    r, Kn = assemble_stress(vs, c, model, jacobian="newton")
-    _, Kp = assemble_stress(vs, c, model, jacobian="picard")
+    r, _ = assemble_stress(vs, c, model, jacobian=None)
+    Kn = stress_matrix(vs, c, model, "newton")
+    Kp = stress_matrix(vs, c, model, "picard")
     assert abs(Kn - Kp).max() < 1e-12
     np.testing.assert_allclose(Kn @ c, r, atol=1e-12)
 
@@ -173,7 +184,7 @@ def test_stress_jacobian_symmetry():
     rng = np.random.default_rng(5)
     c = 0.4 * rng.standard_normal(vs.n_dofs)
     for mode in ("newton", "picard"):
-        _, K = assemble_stress(vs, c, StressModel(1.7, 0.1), jacobian=mode)
+        K = stress_matrix(vs, c, StressModel(1.7, 0.1), mode)
         assert abs(K - K.T).max() < 1e-12
 
 
@@ -185,7 +196,8 @@ def test_stress_directional_derivative():
     v = rng.standard_normal(vs.n_dofs)
     v /= np.linalg.norm(v)
     model = StressModel(1.7, 0.5)
-    r0, K = assemble_stress(vs, c, model, jacobian="newton")
+    r0, _ = assemble_stress(vs, c, model, jacobian=None)
+    K = stress_matrix(vs, c, model, "newton")
     eps = np.array([1e-2, 1e-3, 1e-4])
     errs = []
     for e in eps:
@@ -218,7 +230,7 @@ def test_stress_unknown_mode():
 def test_convection_zero_transport():
     vs, _ = mini_spaces(3)
     N = assemble_convection(vs, np.zeros(vs.n_dofs))
-    assert abs(N).max() == 0.0
+    assert np.abs(N).max() == 0.0
 
 
 def test_convection_skew():
@@ -227,7 +239,7 @@ def test_convection_skew():
     rng = np.random.default_rng(17)
     for _ in range(100):
         u = rng.standard_normal(vs.n_dofs)
-        N = assemble_convection(vs, u)
+        N = global_matrix(vs, assemble_convection(vs, u))
         v = rng.standard_normal(vs.n_dofs)
         scale = abs(N).max() * np.dot(v, v)
         assert abs(v @ (N @ v)) < 1e-12 * scale
@@ -242,7 +254,7 @@ def test_convection_solenoidal_oracle():
     c_u = vector_field(vs, lambda X: np.column_stack([X[:, 0], -X[:, 1]]))
     rng = np.random.default_rng(23)
     bdofs = vs.boundary_dofs()
-    N = assemble_convection(vs, c_u)
+    N = global_matrix(vs, assemble_convection(vs, c_u))
     deg = 9
     wd = vs.detJ[:, None] * vs.tabulation(deg)[0].weights[None, :]
     uq = vs.eval_at_qp(c_u, deg)
@@ -258,32 +270,41 @@ def test_convection_solenoidal_oracle():
 
 # -- constraint handling and saddle solves -----------------------------
 
+def saddle_matrix(A, sys):
+    return sys.csc(sys.base + sys.scatter(0, A.tocoo().data)).toarray()
+
+
 def test_apply_dirichlet_matrix():
-    space = FESpace(unit_square_mesh(2), "P1")
-    M = assemble_mass(space)
-    bdofs = space.boundary_scalar_dofs()
-    free = np.setdiff1d(np.arange(space.n_dofs), bdofs)
-    out = apply_dirichlet_matrix(M, bdofs)
-    dense = out.toarray()
+    """Dirichlet rows and columns of A are dropped and get a unit diagonal."""
+    vs, qs = mini_spaces(2)
+    M = assemble_mass(vs).tocoo()
+    bdofs = vs.boundary_dofs()
+    free = np.setdiff1d(np.arange(vs.n_dofs), bdofs)
+    sys = SaddleSystem([(M.row, M.col)], assemble_divergence(vs, qs),
+                       pressure_mean_vector(qs), bdofs)
+    dense = saddle_matrix(M, sys)
     assert np.all(dense[np.ix_(bdofs, free)] == 0.0)
     assert np.all(dense[np.ix_(free, bdofs)] == 0.0)
     np.testing.assert_array_equal(dense[np.ix_(bdofs, bdofs)],
                                   np.eye(len(bdofs)))
     np.testing.assert_array_equal(dense[np.ix_(free, free)],
                                   M.toarray()[np.ix_(free, free)])
-    hollow = apply_dirichlet_matrix(M, bdofs, identity=False).toarray()
+    # B columns and B^T rows of constrained dofs are dropped too
+    nu = vs.n_dofs
+    assert np.all(dense[nu:, bdofs] == 0.0)
+    assert np.all(dense[bdofs, nu:] == 0.0)
+    hollow = sys.csc(sys.scatter(0, M.data)).toarray()
     assert np.all(hollow[bdofs, bdofs] == 0.0)
 
 
 def test_saddle_rhs_and_split():
     vs, qs = mini_spaces(2)
-    A = assemble_stiffness(vs)
+    A = assemble_stiffness(vs).tocoo()
     B = assemble_divergence(vs, qs)
     w = pressure_mean_vector(qs)
-    sys = apply_dirichlet(SaddleSystem(A, B, w, np.array([], dtype=np.int64)),
-                          vs.boundary_dofs())
+    sys = SaddleSystem([(A.row, A.col)], B, w, vs.boundary_dofs())
     nu, nq = vs.n_dofs, qs.n_dofs
-    assert sys.matrix().shape == (nu + nq + 1, nu + nq + 1)
+    assert sys.csc(sys.base).shape == (nu + nq + 1, nu + nq + 1)
     rhs = sys.rhs(np.ones(nu), np.zeros(nq))
     assert rhs.shape == (nu + nq + 1,)
     assert np.all(rhs[sys.bdofs] == 0.0)
@@ -305,9 +326,10 @@ def test_solve_saddle_stokes():
     assert np.max(np.abs(u[bdofs])) < 1e-14
     assert abs(w @ q) < 1e-12 * (1.0 + np.linalg.norm(q))
     assert np.linalg.norm(B @ u + alpha * w) < 1e-10
-    sys = SaddleSystem(A.tocsr(), B.tocsr(), w, bdofs)
+    Ac = A.tocoo()
+    sys = SaddleSystem([(Ac.row, Ac.col)], B, w, bdofs)
     x = np.concatenate([u, q, [alpha]])
-    res = sys.matrix() @ x - sys.rhs(f, np.zeros(qs.n_dofs))
+    res = saddle_matrix(Ac, sys) @ x - sys.rhs(f, np.zeros(qs.n_dofs))
     assert np.linalg.norm(res) < 1e-10 * (1.0 + np.linalg.norm(f))
 
 
@@ -318,3 +340,108 @@ def test_solve_saddle_singular_raises():
     with pytest.raises(LinearSolveError):
         solve_saddle(A, B, np.zeros(nq), np.zeros(nu), np.zeros(nq),
                      np.array([], dtype=np.int64))
+
+
+# -- reference contractions --------------------------------------------
+#
+# The 4-index Jacobian contracted in one einsum, the frozen-weight form
+# and the globally skew-symmetrized convection, and the Dirichlet/bmat
+# build of the augmented matrix: the direct forms the factored kernels
+# and the cached KKT pattern must reproduce.
+
+def ref_weights(vs, degree):
+    return vs.detJ[:, None] * vs.tabulation(degree)[0].weights[None, :]
+
+
+def ref_stress_local(vs, c, model, jacobian, degree=5, floor=1e-8):
+    grad = vs.grad_at_qp(c, degree)
+    _, _, gphys, _ = vs.tabulation(degree)
+    wd = ref_weights(vs, degree)
+    nc, _, nloc, d = gphys.shape
+    if jacobian == "newton":
+        jmodel = model if model.delta >= floor else StressModel(model.p, floor)
+        J4 = jmodel.stress_jacobian(grad)
+        local = np.einsum("cq,cqsltm,cqal,cqbm->csatb", wd, J4, gphys, gphys)
+    else:
+        A = 0.5 * (grad + np.swapaxes(grad, -1, -2))
+        t = np.sqrt(np.sum(A * A, axis=(-1, -2)))
+        wg = wd * np.maximum(model.delta + t, floor) ** (model.p - 2.0)
+        term1 = np.einsum("cq,cqal,cqbl->cab", wg, gphys, gphys)
+        local = 0.5 * np.einsum("cq,cqaj,cqbi->ciajb", wg, gphys, gphys)
+        for i in range(d):
+            local[:, i, :, i, :] += 0.5 * term1
+    return local.reshape(nc, d * nloc, d * nloc)
+
+
+def ref_convection(vs, u):
+    degree = 3 * vs.element.degree
+    _, phi, gphys, _ = vs.tabulation(degree)
+    wvals = vs.eval_at_qp(u, degree)
+    C_local = np.einsum("cq,cqi,cqbi,qa->cab", ref_weights(vs, degree), wvals,
+                        gphys, phi)
+    rows = np.broadcast_to(vs.cell_dofs[:, :, None], C_local.shape)
+    cols = np.broadcast_to(vs.cell_dofs[:, None, :], C_local.shape)
+    n = vs.n_scalar
+    C = sparse.coo_matrix((C_local.ravel(), (rows.ravel(), cols.ravel())),
+                          shape=(n, n)).tocsr()
+    return sparse.block_diag([0.5 * (C - C.T)] * 2, format="csr")
+
+
+def ref_saddle_matrix(A, B, w, bdofs):
+    free = np.ones(A.shape[0])
+    free[bdofs] = 0.0
+    Df = sparse.diags(free)
+    Ad = (Df @ A @ Df).tocsr() + sparse.diags(1.0 - free)
+    Bf = (B @ Df).tocsr()
+    wcol = sparse.csr_matrix(w[:, None])
+    return sparse.bmat([[Ad, -Bf.T, None], [Bf, None, wcol], [None, wcol.T, None]],
+                       format="csc")
+
+
+def rel_err(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+OPERATOR_CASES = [("newton", 1.7, 0.1), ("newton", 1.5, 0.0), ("picard", 1.6, 0.1)]
+
+
+@pytest.mark.parametrize("pair", ["MINI", "TH"])
+@pytest.mark.parametrize("jacobian,p,delta", OPERATOR_CASES)
+def test_stress_operator_matches_reference(pair, jacobian, p, delta):
+    vs, _ = spaces(pair, 4)
+    c = 0.5 * np.random.default_rng(7).standard_normal(vs.n_dofs)
+    model = StressModel(p, delta)
+    _, local = assemble_stress(vs, c, model, jacobian=jacobian)
+    ref = ref_stress_local(vs, c, model, jacobian)
+    assert rel_err(local, ref) < 1e-13
+    assert rel_err(global_matrix(vs, local).toarray(),
+                   global_matrix(vs, ref).toarray()) < 1e-13
+
+
+@pytest.mark.parametrize("pair", ["MINI", "TH"])
+def test_convection_matches_reference(pair):
+    vs, _ = spaces(pair, 4)
+    u = np.random.default_rng(8).standard_normal(vs.n_dofs)
+    N = global_matrix(vs, assemble_convection(vs, u)).toarray()
+    assert rel_err(N, ref_convection(vs, u).toarray()) < 1e-13
+
+
+@pytest.mark.parametrize("pair", ["MINI", "TH"])
+def test_cached_kkt_matches_bmat_build(pair):
+    """The refilled pattern equals the Dirichlet/bmat build of M/kappa + N + K."""
+    vs, qs = spaces(pair, 4)
+    rng = np.random.default_rng(9)
+    model = StressModel(1.8, 0.1)
+    ctx = StepperContext(vs, qs, model, kappa=0.05)
+    U_prev = rng.standard_normal(vs.n_dofs)
+    U = rng.standard_normal(vs.n_dofs)
+    N = assemble_convection(vs, U_prev)
+    _, K = assemble_stress(vs, U, model, jacobian="newton")
+    data = ctx._fixed_data + ctx.kkt.scatter(0, N) + ctx.kkt.scatter(0, K)
+    got = ctx.kkt.csc(data)
+    A = (ctx.M / ctx.kappa + ref_convection(vs, U_prev)
+         + global_matrix(vs, ref_stress_local(vs, U, model, "newton")))
+    ref = ref_saddle_matrix(A, ctx.B, ctx.w, ctx.bdofs)
+    np.testing.assert_array_equal(got.indptr, ref.indptr)
+    np.testing.assert_array_equal(got.indices, ref.indices)
+    assert rel_err(got.data, ref.data) < 1e-13

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pfluid import cli
+from pfluid.assembly import LinearSolveError
 from pfluid.cli import ConfigError, main, parse_config, report
 from pfluid.stepper import NonConvergenceError
 
@@ -293,6 +294,18 @@ def test_nonconvergence_exit_code(tmp_path, capsys, monkeypatch):
     assert payload["exit_code"] == 3
 
 
+def test_unexpected_error_exit_code(tmp_path, capsys, monkeypatch):
+    def fail(cfg, outdir):
+        raise LinearSolveError("Factor is exactly singular")
+
+    monkeypatch.setitem(cli._RUNNERS, "simulate", fail)
+    assert main(["--config", write_config(tmp_path, simulate_doc()),
+                 "--output", str(tmp_path / "o")]) == 5
+    payload = stderr_payload(capsys)
+    assert payload["error"] == "LinearSolveError"
+    assert payload["exit_code"] == 5
+
+
 def test_check_failure_exit_code(tmp_path, capsys):
     data = {"kappa": 0.1, "h": 0.1, "p": 1.8,
             "a": (1e-3 * 2.0 ** np.arange(6)).tolist(),
@@ -323,5 +336,5 @@ def test_log_env_variable(tmp_path, monkeypatch):
     monkeypatch.setenv("PFLUID_LOG", "debug")
     out = tmp_path / "out"
     assert main(["--config", write_config(tmp_path, simulate_doc()),
-                 "--output", str(out), "--threads", "1"]) == 0
+                 "--output", str(out)]) == 0
     assert (out / "report.txt").exists()

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
 from pfluid.pstructure import (
@@ -211,6 +211,26 @@ def test_equivalence_ratios_positive_and_bounded():
             vals = vals[np.isfinite(vals)]
             assert np.all(vals > 0.0)
             assert np.max(vals) / np.min(vals) <= 100.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.floats(1.1, 2.0),
+    delta=st.floats(0.0, 1.0),
+    entries=st.lists(st.floats(-2.0, 2.0), min_size=8, max_size=8),
+    log_eps=st.floats(-10.0, -6.0),
+)
+def test_equivalence_ratios_near_coincident_pairs(p, delta, entries, log_eps):
+    """Pairs at relative offsets 1e-10..1e-6 keep every ratio finite and positive."""
+    P = np.reshape(entries[:4], (2, 2))
+    E = sym_part(np.reshape(entries[4:], (2, 2)))
+    tp, te = tensor_norm(sym_part(P)), tensor_norm(E)
+    assume(tp > 1e-3 and te > 1e-3)
+    Q = P + 10.0 ** log_eps * (delta + tp) * E / te
+    ratios, degenerate = equivalence_ratios(StressModel(p, delta), P[None], Q[None])
+    assert not degenerate[0]
+    for name in RATIO_NAMES:
+        assert np.isfinite(ratios[name][0]) and ratios[name][0] > 0.0, name
 
 
 def test_check_equivalences_single_pair():

@@ -4,12 +4,14 @@ energy decay, and failure surfaces."""
 import numpy as np
 import pytest
 
+from pfluid import assembly
 from pfluid.assembly import (
     assemble_convection,
     assemble_divergence,
     assemble_mass,
     assemble_rhs,
     assemble_stress,
+    global_matrix,
     pressure_mean_vector,
     solve_saddle,
 )
@@ -97,7 +99,8 @@ def test_p2_matches_independent_linear_stepper():
 
     traj = run_simulation(vs, qs, model, grid, bump, f=f)
 
-    _, E = assemble_stress(vs, np.zeros(vs.n_dofs), model, jacobian="newton")
+    E = global_matrix(vs, assemble_stress(
+        vs, np.zeros(vs.n_dofs), model, jacobian="newton")[1])
     M = assemble_mass(vs)
     B = assemble_divergence(vs, qs)
     w = pressure_mean_vector(qs)
@@ -105,7 +108,7 @@ def test_p2_matches_independent_linear_stepper():
     k = grid.kappa
     U = traj.velocities[0]
     for m, t in enumerate(grid.times()[1:], start=1):
-        N = assemble_convection(vs, U)
+        N = global_matrix(vs, assemble_convection(vs, U))
         F = assemble_rhs(vs, lambda X, _t=t: f(_t, X))
         U, Q, _ = solve_saddle(
             M / k + E + N, B, w, F + M @ U / k, np.zeros(qs.n_dofs), bdofs)
@@ -163,6 +166,34 @@ def test_nonconvergence_raises_with_diagnostics():
             vs, qs, StressModel(1.8, 0.1), TimeGrid(0.1, 1), bump, options=opts)
     assert err.value.diagnostics is not None
     assert not err.value.diagnostics.converged
+
+
+def test_nonfinite_newton_direction_switches_to_picard(monkeypatch):
+    """A NaN Newton direction moves the step to Picard without a line search."""
+    vs, qs = mini_spaces(3)
+    model = StressModel(1.6, 0.1)
+    grid = TimeGrid(0.2, 4)
+    traj = run_simulation(vs, qs, model, grid, bump)
+    U_prev, Q_prev, t = traj.velocities[1], traj.pressures[1], grid.times()[2]
+
+    real_splu = assembly.splu
+    calls = []
+
+    class NaNSolve:
+        def solve(self, rhs):
+            return np.full_like(rhs, np.nan)
+
+    def splu_nan_once(A):
+        calls.append(1)
+        return NaNSolve() if len(calls) == 1 else real_splu(A)
+
+    monkeypatch.setattr(assembly, "splu", splu_nan_once)
+    ctx = StepperContext(vs, qs, model, grid.kappa)
+    U, _, diag = ctx.step(U_prev, Q_prev, t)
+    assert diag.converged and diag.mode == "picard"
+    assert diag.backtracks == 0
+    scale = 1.0 + np.linalg.norm(traj.velocities[2])
+    assert np.linalg.norm(U - traj.velocities[2]) < 1e-8 * scale
 
 
 def test_trajectory_reports():
