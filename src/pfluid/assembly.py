@@ -25,29 +25,52 @@ which yields an exactly antisymmetric matrix in (v, w) for any frozen
 transport field u; testing the step operator with the solution itself
 therefore sees no convective energy contribution.
 
-Velocity/pressure saddle systems carry a scalar multiplier enforcing
-zero pressure mean:
+Velocity/pressure saddle systems are solved in the form
 
-    [ A   -B^T  0 ] [u]   [f]
-    [ B    0    w ] [q] = [g]
-    [ 0   w^T   0 ] [a]   [0]
+    [ A   -B^T ] [u]   [f]
+    [ B    0   ] [q] = [g]
 
-with w the pressure-basis means; Dirichlet rows and columns of A and B
-are dropped and replaced by the identity.  ``SaddleSystem`` builds the
-CSC pattern of this matrix once, with a scatter map for each source of
-A-block entries, so refilling the matrix is one ``np.bincount`` per
-source.  Its ``solve`` is the one factor-and-solve routine: Newton and
-Picard iterations and ``solve_saddle`` all use it, and it rejects
-non-finite solutions.
+with Dirichlet rows and columns of A and B dropped and replaced by the
+identity.  Pressure is fixed only up to a constant, so pressure dof
+``PINNED`` is pinned: its row and column become a unit diagonal with
+rhs 0, which drops one equation of B u = g.  That equation is redundant
+exactly when sum(g) = 0, since the rows of B sum to (div u, 1) = 0 for
+boundary-vanishing u.  Every caller meets this: Picard passes g = 0,
+Newton passes -B U with U zero on the boundary, and the projection
+passes (div u0, psi) for a boundary-vanishing u0.  After the solve q is
+shifted by a constant to zero mean, w @ q = 0 with w the pressure-basis
+means, which leaves the momentum equations unchanged.
+
+``SaddleSystem`` builds the CSC pattern of this matrix once, with a
+scatter map for each source of A-block entries, so refilling the matrix
+is one ``np.bincount`` per source.  The pattern is stored in a
+minimum-degree order of the structure of K + K^T (K the whole matrix),
+computed once per pattern by a factorization with a dominant diagonal.
+Its ``solve`` is the one factor-and-solve routine: Newton and Picard
+iterations and ``solve_saddle`` all use it.  It factors in the stored
+order with static (diagonal) pivoting, checks that the solution is
+finite and that ||K x - b|| <= ``RESIDUAL_TOL`` ||b||, and otherwise
+refactors the same matrix with COLAMD and partial pivoting, logging a
+WARNING; LinearSolveError is raised when that check fails too.  Every
+factorization goes through the module attribute ``splu``.
 """
 
 from __future__ import annotations
+
+import logging
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .pstructure import StressModel
+
+log = logging.getLogger(__name__)
+
+# pressure dof whose equation is replaced by q = 0 before the mean shift
+PINNED = 0
+# largest accepted ||K x - b|| / ||b|| of a saddle solve
+RESIDUAL_TOL = 1e-10
 
 
 class LinearSolveError(RuntimeError):
@@ -172,28 +195,26 @@ def _sym_gradient_local(wg, gphys):
 
 def assemble_stress(v_space, coeffs, model: StressModel, degree=5, jacobian="newton",
                     jac_delta_floor=1e-8):
-    """Stress residual (S(Du), Dv) and optional linearization.
+    """Stress residual (S(Du), Dv) or a linearization of it.
 
-    jacobian: "newton" for the exact derivative (with the shift floored
-    at jac_delta_floor to keep the weight representable), "picard" for
-    the frozen-weight secant operator, or None for residual only.
+    jacobian: None for the residual, "newton" for the exact derivative
+    (with the shift floored at jac_delta_floor to keep the weight
+    representable) or "picard" for the frozen-weight secant operator.
     The residual always uses the unmodified model.
 
-    Returns (residual, local) with local the element matrices of the
+    Returns (residual, local): the residual vector and None for
+    jacobian=None, else None and the element matrices of the
     linearization, shape (n_cells, d*n_local, d*n_local) on
-    ``v_space.local_vector_dofs()`` (None for jacobian=None); see
-    ``global_matrix``.
+    ``v_space.local_vector_dofs()``; see ``global_matrix``.
     """
     grad = v_space.grad_at_qp(coeffs, degree)
     _, _, gphys, _ = v_space.tabulation(degree)
     wd = _wdet(v_space, degree)
-    S = model.stress(grad)
-    res_cell = np.einsum("cq,cqil,cqal->cia", wd, S, gphys)
     nc, nq, nloc, d = gphys.shape
-    residual = np.zeros(v_space.n_dofs)
-    dofs = v_space.local_vector_dofs()
-    np.add.at(residual, dofs, res_cell.reshape(nc, -1))
     if jacobian is None:
+        res_cell = np.einsum("cq,cqil,cqal->cia", wd, model.stress(grad), gphys)
+        residual = np.zeros(v_space.n_dofs)
+        np.add.at(residual, v_space.local_vector_dofs(), res_cell.reshape(nc, -1))
         return residual, None
 
     # DS = g Sym + radial A (x) A: the g part is the weighted
@@ -216,7 +237,7 @@ def assemble_stress(v_space, coeffs, model: StressModel, degree=5, jacobian="new
         local = _sym_gradient_local(wd * g, gphys).reshape(nc, d * nloc, d * nloc)
     else:
         raise ValueError(f"unknown jacobian mode {jacobian!r}")
-    return residual, local
+    return None, local
 
 
 def assemble_convection(v_space, transport_coeffs, degree=None):
@@ -243,22 +264,28 @@ def assemble_convection(v_space, transport_coeffs, degree=None):
 
 
 class SaddleSystem:
-    """Augmented velocity/pressure matrix on a sparsity pattern built once.
+    """Pinned velocity/pressure KKT matrix on a pattern built and ordered once.
 
-    The CSC pattern holds the A block's entries from every source in
-    ``entries`` (a sequence of (rows, cols) index arrays) outside the
-    Dirichlet rows and columns, a unit diagonal on the Dirichlet dofs,
-    the free columns of B and -B^T, and the nonzero entries of w.  A
-    matrix on the pattern is its ``data`` array: ``base`` holds the
-    fixed blocks, ``scatter(k, values)`` adds values given in the order
-    of entries[k], and ``solve`` factors and solves.
+    The matrix is [A -B^T; B 0] on (u, q).  The CSC pattern holds the A
+    block's entries from every source in ``entries`` (a sequence of
+    (rows, cols) index arrays) outside the Dirichlet rows and columns, a
+    unit diagonal on the Dirichlet dofs and on pressure dof ``PINNED``,
+    and the free columns of B and -B^T outside that dof's row and
+    column.  Unknown i is stored at position ``perm[i]``, a
+    minimum-degree order of the pattern, so ``csc(data)`` is the
+    symmetrically permuted matrix; ``rhs``, ``split`` and ``solve`` use
+    the original numbering.  A matrix on the pattern is its ``data``
+    array: ``base`` holds the fixed blocks, ``scatter(k, values)`` adds
+    values given in the order of entries[k], and ``solve`` factors and
+    solves.
     """
 
     def __init__(self, entries, B, w, bdofs):
         B = sparse.coo_matrix(B)
         self.nq, self.nu = B.shape
-        n = self.nu + self.nq + 1
+        n = self.nu + self.nq
         self.shape = (n, n)
+        self.w = np.asarray(w, dtype=float)
         self.bdofs = np.asarray(bdofs, dtype=np.int64)
         free = np.ones(self.nu, dtype=bool)
         free[self.bdofs] = False
@@ -271,16 +298,15 @@ class SaddleSystem:
             rows.append(r[keep])
             cols.append(c[keep])
             keeps.append(keep)
-        inB = free[B.col] & (B.data != 0.0)
+        inB = free[B.col] & (B.row != PINNED) & (B.data != 0.0)
         bq, bu, bval = B.row[inB] + self.nu, B.col[inB], B.data[inB]
-        ew = np.flatnonzero(w)
-        wrow = np.full(len(ew), n - 1)
-        fixed_rows = [self.bdofs, bu, bq, ew + self.nu, wrow]
-        fixed_cols = [self.bdofs, bq, bu, wrow, ew + self.nu]
-        fixed_vals = np.concatenate([np.ones(len(self.bdofs)), -bval, bval, w[ew], w[ew]])
+        unit = np.append(self.bdofs, self.nu + PINNED)
+        rows = np.concatenate(rows + [unit, bu, bq])
+        cols = np.concatenate(cols + [unit, bq, bu])
+        fixed_vals = np.concatenate([np.ones(len(unit)), -bval, bval])
 
-        keys = (np.concatenate(cols + fixed_cols).astype(np.int64) * n
-                + np.concatenate(rows + fixed_rows))
+        self.perm = _minimum_degree_order(rows, cols, n)
+        keys = self.perm[cols].astype(np.int64) * n + self.perm[rows]
         uniq, pos = np.unique(keys, return_inverse=True)
         self.nnz = len(uniq)
         self.indices = (uniq % n).astype(np.int32)
@@ -306,36 +332,82 @@ class SaddleSystem:
         return sparse.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
 
     def solve(self, data, rhs):
-        """Factor the matrix with the given data and solve for rhs.
+        """Solve the system with the given data for rhs.
 
-        Raises LinearSolveError when the factorization fails or the
-        solution is not finite.
+        The pinned pressure's rhs entry is taken as 0, and the pressure
+        of the solution is shifted to zero mean (w @ q = 0).  The first
+        attempt keeps the pattern's order and pivots on the diagonal.
+        When its solution is not finite or its relative residual exceeds
+        ``RESIDUAL_TOL``, the matrix is refactored with COLAMD and
+        partial pivoting, with a WARNING on the ``pfluid.assembly``
+        logger.  Raises LinearSolveError when that attempt fails too.
         """
-        try:
-            lu = splu(self.csc(data))
-            x = lu.solve(rhs)
-        except RuntimeError as exc:  # SuperLU signals singularity this way
-            raise LinearSolveError(str(exc)) from exc
-        if not np.all(np.isfinite(x)):
-            raise LinearSolveError("non-finite solution from sparse solve")
+        b = np.empty(self.shape[0])
+        b[self.perm] = rhs
+        b[self.perm[self.nu + PINNED]] = 0.0
+        K = self.csc(data)
+        y, rel = _factor_solve(K, b, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        if not rel <= RESIDUAL_TOL:
+            log.warning("static-pivot LU rejected (relative residual %.3g); "
+                        "refactoring with partial pivoting", rel)
+            y, rel = _factor_solve(K, b, permc_spec="COLAMD", diag_pivot_thresh=1.0)
+            if not rel <= RESIDUAL_TOL:
+                raise LinearSolveError(
+                    f"sparse LU failed (relative residual {rel:.3g})")
+        x = y[self.perm]
+        q = x[self.nu :]
+        q -= (self.w @ q) / self.w.sum()
         return x
 
     def rhs(self, rhs_u, rhs_q):
         f = np.array(rhs_u, dtype=float)
         f[self.bdofs] = 0.0
-        return np.concatenate([f, rhs_q, [0.0]])
+        return np.concatenate([f, rhs_q])
 
     def split(self, x):
-        return x[: self.nu], x[self.nu : self.nu + self.nq], float(x[-1])
+        return x[: self.nu], x[self.nu :]
+
+
+def _minimum_degree_order(rows, cols, n):
+    """Minimum-degree order of the pattern of K + K^T, as new positions.
+
+    SuperLU computes the order while it factors.  Unit off-diagonal
+    values and a diagonal of n make every diagonal pivot dominant, so
+    the factorization succeeds for any pattern and its static pivots
+    keep the order.
+    """
+    pattern = sparse.csc_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    pattern.data[:] = 1.0
+    lu = splu((pattern + n * sparse.identity(n)).tocsc(),
+              permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
+    return np.asarray(lu.perm_c)
+
+
+def _factor_solve(K, b, **options):
+    """LU-solve K y = b; returns (y, ||K y - b|| / ||b||).
+
+    The residual is inf when SuperLU finds a singular factor and nan
+    when y is not finite.
+    """
+    try:
+        y = splu(K, **options).solve(b)
+    except RuntimeError:  # SuperLU signals a singular factor this way
+        return None, np.inf
+    if not np.all(np.isfinite(y)):
+        return y, np.nan
+    bnorm = max(np.linalg.norm(b), np.finfo(float).tiny)
+    return y, np.linalg.norm(K @ y - b) / bnorm
 
 
 def solve_saddle(A, B, w, rhs_u, rhs_q, bdofs):
-    """Factor and solve one augmented saddle system.
+    """Factor and solve one pinned saddle system (see ``SaddleSystem``).
 
-    Returns (u, q, alpha); raises LinearSolveError when the
-    factorization fails or produces non-finite values.
+    Pinning drops one row of B u = rhs_q, which is redundant only when
+    sum(rhs_q) = 0, as for rhs_q = (div u0, psi) with u0 vanishing on
+    the boundary.  Returns (u, q) with w @ q = 0; raises
+    LinearSolveError when no factorization gives an accurate solution.
     """
     A = sparse.coo_matrix(A)
-    sys = SaddleSystem([(A.row, A.col)], B, np.asarray(w, dtype=float), bdofs)
+    sys = SaddleSystem([(A.row, A.col)], B, w, bdofs)
     x = sys.solve(sys.base + sys.scatter(0, A.data), sys.rhs(rhs_u, rhs_q))
     return sys.split(x)

@@ -446,11 +446,13 @@ def div_preserving_projection(
 ) -> DiscreteField:
     """L2 projection onto the discretely divergence-free subspace.
 
-    Minimizes ||u_h - u0||_2 subject to homogeneous boundary values,
-    (div u_h, psi_h) = 0 for all pressure test functions, and the
-    pressure multiplier having zero mean.  With ``solenoidal=False`` the
-    divergence data of u0 is kept on the right-hand side instead of
-    being zeroed (u0 must still vanish on the boundary).
+    Minimizes ||u_h - u0||_2 subject to homogeneous boundary values
+    and (div u_h, psi_h) = 0 for all pressure test functions, through
+    one pinned saddle solve (``assembly.solve_saddle``); the pressure
+    multiplier is discarded.  With ``solenoidal=False`` the divergence
+    data (div u0, psi_h) is kept on the right-hand side instead of being
+    zeroed.  u0 must then vanish on the boundary: that makes the data
+    sum to zero, which the pinned solve needs.
     """
     from . import assembly  # deferred to keep module layering acyclic
 
@@ -472,7 +474,7 @@ def div_preserving_projection(
         cell = np.einsum("q,cqb->cb", rule.weights, contrib) * q_space.detJ[:, None]
         np.add.at(g, q_space.cell_dofs, cell)
     bdofs = v_space.boundary_dofs()
-    U, _, _ = assembly.solve_saddle(M, B, w, rhs_u, g, bdofs)
+    U, _ = assembly.solve_saddle(M, B, w, rhs_u, g, bdofs)
     return DiscreteField(v_space, U)
 
 

@@ -69,7 +69,6 @@ class StepDiagnostics:
     mode: str
     residual_norm: float
     residual_history: list
-    alpha: float
     converged: bool
     backtracks: int = 0
 
@@ -99,15 +98,13 @@ class StepperContext:
         )
         self._fixed_data = self.kkt.base + self.kkt.scatter(1, M.data / self.kappa)
 
-    def _residual(self, U, Q, alpha, U_prev, N, F):
+    def _residual(self, U, Q, U_prev, N, F):
         s, _ = assembly.assemble_stress(
             self.v_space, U, self.model, degree=self.opts.quad_degree, jacobian=None
         )
         Ru = self.M @ (U - U_prev) / self.kappa + s + N @ U - self.B.T @ Q - F
         Ru = np.where(self._free > 0.0, Ru, U)
-        Rq = self.B @ U + self.w * alpha
-        Ra = float(self.w @ Q)
-        return np.concatenate([Ru, Rq, [Ra]])
+        return np.concatenate([Ru, self.B @ U])
 
     def _solve(self, U, step_data, mode, rhs):
         """Solve with the step's matrix plus the stress linearization at U."""
@@ -137,11 +134,13 @@ class StepperContext:
             U[self.bdofs] = 0.0
         else:
             U, Q = np.array(U_prev, dtype=float), np.array(Q_prev, dtype=float)
-        alpha = 0.0
+        # solves return zero-mean pressures and increments, so a zero-mean
+        # start keeps w @ Q = 0 on every iterate
+        Q -= (self.w @ Q) / self.w.sum()
 
         history = []
         backtracks = 0
-        R = self._residual(U, Q, alpha, U_prev, N, F)
+        R = self._residual(U, Q, U_prev, N, F)
         rnorm = float(np.linalg.norm(R))
         history.append(rnorm)
         mode = opts.method
@@ -150,17 +149,16 @@ class StepperContext:
         total_iters = 0
 
         def unpack(x):
-            return x[:nu], x[nu : nu + nq], float(x[-1])
+            return x[:nu], x[nu:]
 
-        x = np.concatenate([U, Q, [alpha]])
+        x = np.concatenate([U, Q])
         while total_iters < opts.max_newton + opts.max_picard:
             if rnorm <= tol_eff:
                 return (
-                    x[:nu].copy(), x[nu : nu + nq].copy(),
-                    StepDiagnostics(total_iters, mode, rnorm, history, float(x[-1]),
-                                    True, backtracks),
+                    x[:nu].copy(), x[nu:].copy(),
+                    StepDiagnostics(total_iters, mode, rnorm, history, True, backtracks),
                 )
-            U, Q, alpha = unpack(x)
+            U, Q = unpack(x)
             if mode == "newton" and newton_iters >= opts.max_newton:
                 mode = "picard"
             if mode == "newton":
@@ -212,8 +210,7 @@ class StepperContext:
         raise NonConvergenceError(
             f"step at t={t_m:.6g} did not reach tol {tol_eff:.3e} "
             f"(last residual {rnorm:.3e})",
-            StepDiagnostics(total_iters, mode, rnorm, history, float(x[-1]), False,
-                            backtracks),
+            StepDiagnostics(total_iters, mode, rnorm, history, False, backtracks),
         )
 
 

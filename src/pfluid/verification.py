@@ -149,8 +149,13 @@ def manufactured_default(alpha_kind="smooth-periodic") -> ManufacturedSolution:
 def forcing_from(ms: ManufacturedSolution, model: StressModel):
     """Forcing f = dt_u - div S(Du) + [grad u] u + grad q as a callable.
 
-    div S is evaluated by contracting the closed-form stress derivative
-    with the analytic Hessian.  For delta = 0 the stress derivative is
+    div S is the chain rule through the closed-form stress derivative
+    DS = g Sym + radial A (x) A (``StressModel.jacobian_factors``) with
+    the analytic Hessian: with dA[..., k, l, j] = d_j A_kl,
+
+        (div S)_i = g sum_j dA[i, j, j] + radial sum_j A_ij (A : dA[..., j]).
+
+    For delta = 0 the stress derivative is
     singular where Du vanishes.  The default solution family degenerates
     only at isolated points (the domain center and corners), which the
     default quadrature rules avoid; that is asserted here by probing the
@@ -161,9 +166,11 @@ def forcing_from(ms: ManufacturedSolution, model: StressModel):
         X = np.asarray(X, dtype=float)
         G = ms.grad_u(t, X)
         H = ms.hess_u(t, X)
-        J = model.stress_jacobian(G)
+        A, g, radial = model.jacobian_factors(G)
         dA = 0.5 * (H + np.swapaxes(H, -3, -2))  # d_j (sym grad u)_kl at [k,l,j]
-        divS = np.einsum("...ijkl,...klj->...i", J, dA)
+        AdA = np.einsum("...kl,...klj->...j", A, dA)
+        divS = (g[..., None] * np.einsum("...ijj->...i", dA)
+                + radial[..., None] * np.einsum("...ij,...j->...i", A, AdA))
         conv = np.einsum("...il,...l->...i", G, ms.u(t, X))
         return ms.dt_u(t, X) + conv + ms.grad_q(t, X) - divS
 

@@ -5,8 +5,11 @@ contractions for the stress, convection and saddle operators."""
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
+from pfluid import assembly
 from pfluid.assembly import (
+    PINNED,
     LinearSolveError,
     SaddleSystem,
     assemble_convection,
@@ -152,7 +155,8 @@ def test_rhs_component_mismatch():
 def test_stress_residual_zero_at_origin():
     vs, _ = mini_spaces(3)
     model = StressModel(1.6, 0.2)
-    r, K = assemble_stress(vs, np.zeros(vs.n_dofs), model)
+    r, _ = assemble_stress(vs, np.zeros(vs.n_dofs), model, jacobian=None)
+    _, K = assemble_stress(vs, np.zeros(vs.n_dofs), model)
     assert np.all(r == 0.0)
     assert global_matrix(vs, K).shape == (vs.n_dofs, vs.n_dofs)
 
@@ -208,14 +212,18 @@ def test_stress_directional_derivative():
 
 
 def test_stress_residual_ignores_jacobian_floor():
-    # the floor regularizes the derivative weight only, never the residual
+    # the floor regularizes the derivative weight only, never the
+    # residual; operator calls return no residual at all
     vs, _ = mini_spaces(3)
     rng = np.random.default_rng(2)
     c = rng.standard_normal(vs.n_dofs)
     model = StressModel(1.5, 0.0)
     r_plain, _ = assemble_stress(vs, c, model, jacobian=None)
-    r_newton, _ = assemble_stress(vs, c, model, jacobian="newton")
-    np.testing.assert_array_equal(r_plain, r_newton)
+    r_floor, _ = assemble_stress(vs, c, model, jacobian=None, jac_delta_floor=1.0)
+    np.testing.assert_array_equal(r_plain, r_floor)
+    for mode in ("newton", "picard"):
+        r_op, K = assemble_stress(vs, c, model, jacobian=mode)
+        assert r_op is None and K is not None
 
 
 def test_stress_unknown_mode():
@@ -271,7 +279,12 @@ def test_convection_solenoidal_oracle():
 # -- constraint handling and saddle solves -----------------------------
 
 def saddle_matrix(A, sys):
-    return sys.csc(sys.base + sys.scatter(0, A.tocoo().data)).toarray()
+    """Dense matrix of sys with A scattered in, in the original numbering."""
+    return unpermuted(sys, sys.base + sys.scatter(0, A.tocoo().data))
+
+
+def unpermuted(sys, data):
+    return sys.csc(data).toarray()[np.ix_(sys.perm, sys.perm)]
 
 
 def test_apply_dirichlet_matrix():
@@ -293,7 +306,11 @@ def test_apply_dirichlet_matrix():
     nu = vs.n_dofs
     assert np.all(dense[nu:, bdofs] == 0.0)
     assert np.all(dense[bdofs, nu:] == 0.0)
-    hollow = sys.csc(sys.scatter(0, M.data)).toarray()
+    # the pinned pressure dof keeps only its unit diagonal
+    pin = nu + PINNED
+    np.testing.assert_array_equal(dense[pin], np.eye(len(dense))[pin])
+    np.testing.assert_array_equal(dense[:, pin], np.eye(len(dense))[pin])
+    hollow = unpermuted(sys, sys.scatter(0, M.data))
     assert np.all(hollow[bdofs, bdofs] == 0.0)
 
 
@@ -304,13 +321,14 @@ def test_saddle_rhs_and_split():
     w = pressure_mean_vector(qs)
     sys = SaddleSystem([(A.row, A.col)], B, w, vs.boundary_dofs())
     nu, nq = vs.n_dofs, qs.n_dofs
-    assert sys.csc(sys.base).shape == (nu + nq + 1, nu + nq + 1)
+    assert sys.csc(sys.base).shape == (nu + nq, nu + nq)
+    np.testing.assert_array_equal(np.sort(sys.perm), np.arange(nu + nq))
     rhs = sys.rhs(np.ones(nu), np.zeros(nq))
-    assert rhs.shape == (nu + nq + 1,)
+    assert rhs.shape == (nu + nq,)
     assert np.all(rhs[sys.bdofs] == 0.0)
-    u, q, a = sys.split(np.arange(nu + nq + 1, dtype=float))
+    u, q = sys.split(np.arange(nu + nq, dtype=float))
     assert len(u) == nu and len(q) == nq
-    assert a == float(nu + nq)
+    assert q[-1] == float(nu + nq - 1)
 
 
 def test_solve_saddle_stokes():
@@ -320,16 +338,15 @@ def test_solve_saddle_stokes():
     B = assemble_divergence(vs, qs)
     w = pressure_mean_vector(qs)
     bdofs = vs.boundary_dofs()
+    free = np.setdiff1d(np.arange(vs.n_dofs), bdofs)
     f = assemble_rhs(vs, lambda X: np.column_stack(
         [np.ones(len(X)), X[:, 0] * X[:, 1]]))
-    u, q, alpha = solve_saddle(A, B, w, f, np.zeros(qs.n_dofs), bdofs)
+    u, q = solve_saddle(A, B, w, f, np.zeros(qs.n_dofs), bdofs)
     assert np.max(np.abs(u[bdofs])) < 1e-14
     assert abs(w @ q) < 1e-12 * (1.0 + np.linalg.norm(q))
-    assert np.linalg.norm(B @ u + alpha * w) < 1e-10
-    Ac = A.tocoo()
-    sys = SaddleSystem([(Ac.row, Ac.col)], B, w, bdofs)
-    x = np.concatenate([u, q, [alpha]])
-    res = saddle_matrix(Ac, sys) @ x - sys.rhs(f, np.zeros(qs.n_dofs))
+    # every row of B u = 0 holds, the pinned one included
+    assert np.linalg.norm(B @ u) < 1e-10
+    res = (A @ u - B.T @ q - f)[free]
     assert np.linalg.norm(res) < 1e-10 * (1.0 + np.linalg.norm(f))
 
 
@@ -340,6 +357,28 @@ def test_solve_saddle_singular_raises():
     with pytest.raises(LinearSolveError):
         solve_saddle(A, B, np.zeros(nq), np.zeros(nu), np.zeros(nq),
                      np.array([], dtype=np.int64))
+
+
+def test_stepper_factorization_fill(monkeypatch):
+    """The ordered pinned pattern keeps the n=16 MINI factors small."""
+    vs, qs = mini_spaces(16)
+    fills = []
+    real_splu = assembly.splu
+
+    def splu_fill(A, **options):
+        lu = real_splu(A, **options)
+        fills.append(lu.L.nnz + lu.U.nnz)
+        return lu
+
+    monkeypatch.setattr(assembly, "splu", splu_fill)
+    model = StressModel(1.8, 0.1)
+    ctx = StepperContext(vs, qs, model, kappa=1.0 / 64)
+    U = 0.1 * np.random.default_rng(4).standard_normal(vs.n_dofs)
+    U[ctx.bdofs] = 0.0
+    rhs = ctx.kkt.rhs(np.ones(vs.n_dofs), np.zeros(qs.n_dofs))
+    ctx._solve(U, ctx._fixed_data, "newton", rhs)
+    assert len(fills) == 2  # the ordering, then the static-pivot solve
+    assert max(fills) < 200_000
 
 
 # -- reference contractions --------------------------------------------
@@ -387,12 +426,29 @@ def ref_convection(vs, u):
     return sparse.block_diag([0.5 * (C - C.T)] * 2, format="csr")
 
 
-def ref_saddle_matrix(A, B, w, bdofs):
+def ref_dirichlet_blocks(A, B, bdofs):
     free = np.ones(A.shape[0])
     free[bdofs] = 0.0
     Df = sparse.diags(free)
     Ad = (Df @ A @ Df).tocsr() + sparse.diags(1.0 - free)
-    Bf = (B @ Df).tocsr()
+    return Ad, (B @ Df).tocsr()
+
+
+def ref_pinned_matrix(A, B, bdofs):
+    """[A -B^T; B 0] with the pinned pressure dof's row and column
+    replaced by a unit diagonal."""
+    Ad, Bf = ref_dirichlet_blocks(A, B, bdofs)
+    nq = B.shape[0]
+    keep = np.ones(nq)
+    keep[PINNED] = 0.0
+    Bp = (sparse.diags(keep) @ Bf).tocsr()
+    pin = sparse.csr_matrix(([1.0], ([PINNED], [PINNED])), shape=(nq, nq))
+    return sparse.bmat([[Ad, -Bp.T], [Bp, pin]], format="csc")
+
+
+def ref_augmented_matrix(A, B, w, bdofs):
+    """[A -B^T 0; B 0 w; 0 w^T 0]: zero pressure mean by a multiplier."""
+    Ad, Bf = ref_dirichlet_blocks(A, B, bdofs)
     wcol = sparse.csr_matrix(w[:, None])
     return sparse.bmat([[Ad, -Bf.T, None], [Bf, None, wcol], [None, wcol.T, None]],
                        format="csc")
@@ -426,10 +482,9 @@ def test_convection_matches_reference(pair):
     assert rel_err(N, ref_convection(vs, u).toarray()) < 1e-13
 
 
-@pytest.mark.parametrize("pair", ["MINI", "TH"])
-def test_cached_kkt_matches_bmat_build(pair):
-    """The refilled pattern equals the Dirichlet/bmat build of M/kappa + N + K."""
-    vs, qs = spaces(pair, 4)
+def step_operator(pair, n):
+    """StepperContext at a random iterate, with M/kappa + N + K as a matrix."""
+    vs, qs = spaces(pair, n)
     rng = np.random.default_rng(9)
     model = StressModel(1.8, 0.1)
     ctx = StepperContext(vs, qs, model, kappa=0.05)
@@ -438,10 +493,39 @@ def test_cached_kkt_matches_bmat_build(pair):
     N = assemble_convection(vs, U_prev)
     _, K = assemble_stress(vs, U, model, jacobian="newton")
     data = ctx._fixed_data + ctx.kkt.scatter(0, N) + ctx.kkt.scatter(0, K)
-    got = ctx.kkt.csc(data)
     A = (ctx.M / ctx.kappa + ref_convection(vs, U_prev)
          + global_matrix(vs, ref_stress_local(vs, U, model, "newton")))
-    ref = ref_saddle_matrix(A, ctx.B, ctx.w, ctx.bdofs)
+    return ctx, data, A
+
+
+@pytest.mark.parametrize("pair", ["MINI", "TH"])
+def test_cached_kkt_matches_bmat_build(pair):
+    """The refilled pattern equals the Dirichlet/bmat build of M/kappa + N + K."""
+    ctx, data, A = step_operator(pair, 4)
+    perm = ctx.kkt.perm
+    got = ctx.kkt.csc(data)[perm][:, perm].tocsc()
+    got.sort_indices()
+    ref = ref_pinned_matrix(A, ctx.B, ctx.bdofs)
     np.testing.assert_array_equal(got.indptr, ref.indptr)
     np.testing.assert_array_equal(got.indices, ref.indices)
     assert rel_err(got.data, ref.data) < 1e-13
+
+
+@pytest.mark.parametrize("pair", ["MINI", "TH"])
+def test_pinned_solve_matches_augmented(pair):
+    """Pinning plus the mean shift reproduces the multiplier solve."""
+    ctx, data, A = step_operator(pair, 4)
+    nu, nq = ctx.kkt.nu, ctx.kkt.nq
+    rng = np.random.default_rng(10)
+    v = rng.standard_normal(nu)
+    v[ctx.bdofs] = 0.0
+    # divergence data of a boundary-vanishing field sums to zero
+    rhs = ctx.kkt.rhs(rng.standard_normal(nu), ctx.B @ v)
+    u, q = ctx.kkt.split(ctx.kkt.solve(data, rhs))
+    ref = spsolve(ref_augmented_matrix(A, ctx.B, ctx.w, ctx.bdofs),
+                  np.append(rhs, 0.0))
+    u_ref, q_ref = ref[:nu], ref[nu : nu + nq]
+    assert abs(ref[-1]) < 1e-10
+    assert rel_err(u, u_ref) < 1e-12
+    assert rel_err(q, q_ref) < 1e-10
+    assert abs(ctx.w @ q) < 1e-12 * np.abs(q).max()

@@ -1,6 +1,8 @@
 """Time stepper behavior: exact rest state, linear-case oracle,
 energy decay, and failure surfaces."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -110,7 +112,7 @@ def test_p2_matches_independent_linear_stepper():
     for m, t in enumerate(grid.times()[1:], start=1):
         N = global_matrix(vs, assemble_convection(vs, U))
         F = assemble_rhs(vs, lambda X, _t=t: f(_t, X))
-        U, Q, _ = solve_saddle(
+        U, Q = solve_saddle(
             M / k + E + N, B, w, F + M @ U / k, np.zeros(qs.n_dofs), bdofs)
         scale = 1.0 + np.linalg.norm(U)
         assert np.linalg.norm(U - traj.velocities[m]) < 1e-9 * scale
@@ -147,13 +149,17 @@ def test_initial_guess_override():
     traj = run_simulation(vs, qs, model, grid, bump)
     ctx = StepperContext(vs, qs, model, grid.kappa)
     U_prev, Q_prev = traj.velocities[1], traj.pressures[1]
-    U_warm, _, _ = ctx.step(U_prev, Q_prev, grid.times()[2])
+    U_warm, Q_warm, _ = ctx.step(U_prev, Q_prev, grid.times()[2])
     U_cold, _, _ = ctx.step(
         U_prev, Q_prev, grid.times()[2],
         initial=(np.zeros(vs.n_dofs), np.zeros(qs.n_dofs)))
     scale = 1.0 + np.linalg.norm(U_warm)
     assert np.linalg.norm(U_cold - U_warm) < 1e-8 * scale
     np.testing.assert_allclose(U_warm, traj.velocities[2], atol=1e-10)
+    # a pressure guess off by a constant comes back with zero mean
+    _, Q_shift, _ = ctx.step(U_prev, Q_prev, grid.times()[2],
+                             initial=(U_warm, Q_warm + 1.0))
+    np.testing.assert_allclose(Q_shift, Q_warm, atol=1e-10)
 
 
 # -- diagnostics and failure -------------------------------------------
@@ -175,6 +181,7 @@ def test_nonfinite_newton_direction_switches_to_picard(monkeypatch):
     grid = TimeGrid(0.2, 4)
     traj = run_simulation(vs, qs, model, grid, bump)
     U_prev, Q_prev, t = traj.velocities[1], traj.pressures[1], grid.times()[2]
+    ctx = StepperContext(vs, qs, model, grid.kappa)
 
     real_splu = assembly.splu
     calls = []
@@ -183,17 +190,59 @@ def test_nonfinite_newton_direction_switches_to_picard(monkeypatch):
         def solve(self, rhs):
             return np.full_like(rhs, np.nan)
 
-    def splu_nan_once(A):
+    def splu_nan_first_solve(A, **options):
+        # both attempts of the first solve: static pivots, then partial
         calls.append(1)
-        return NaNSolve() if len(calls) == 1 else real_splu(A)
+        return NaNSolve() if len(calls) <= 2 else real_splu(A, **options)
 
-    monkeypatch.setattr(assembly, "splu", splu_nan_once)
-    ctx = StepperContext(vs, qs, model, grid.kappa)
+    monkeypatch.setattr(assembly, "splu", splu_nan_first_solve)
     U, _, diag = ctx.step(U_prev, Q_prev, t)
     assert diag.converged and diag.mode == "picard"
     assert diag.backtracks == 0
     scale = 1.0 + np.linalg.norm(traj.velocities[2])
     assert np.linalg.norm(U - traj.velocities[2]) < 1e-8 * scale
+
+
+@pytest.mark.parametrize("failure", ["nan", "inaccurate"])
+def test_static_pivot_failure_falls_back_to_partial_pivoting(
+        monkeypatch, caplog, failure):
+    """A rejected static-pivot solve is refactored with partial pivoting:
+    the step stays in Newton mode, with the same solution and a WARNING."""
+    vs, qs = mini_spaces(3)
+    model = StressModel(1.6, 0.1)
+    grid = TimeGrid(0.2, 4)
+    traj = run_simulation(vs, qs, model, grid, bump)
+    U_prev, Q_prev, t = traj.velocities[1], traj.pressures[1], grid.times()[2]
+    ctx = StepperContext(vs, qs, model, grid.kappa)
+    U_ref, _, diag_ref = ctx.step(U_prev, Q_prev, t)
+
+    real_splu = assembly.splu
+
+    class BadSolve:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            if failure == "nan":
+                return np.full_like(rhs, np.nan)
+            return self.lu.solve(rhs) * (1.0 + 1e-6)
+
+    def splu_bad_static(A, **options):
+        lu = real_splu(A, **options)
+        static = options.get("diag_pivot_thresh") == 0.0
+        return BadSolve(lu) if static and options.get("permc_spec") == "NATURAL" else lu
+
+    monkeypatch.setattr(assembly, "splu", splu_bad_static)
+    with caplog.at_level(logging.WARNING, logger="pfluid.assembly"):
+        U, _, diag = ctx.step(U_prev, Q_prev, t)
+    assert diag.converged and diag.mode == "newton" == diag_ref.mode
+    assert diag.iterations == diag_ref.iterations
+    scale = 1.0 + np.linalg.norm(U_ref)
+    assert np.linalg.norm(U - U_ref) < 1e-12 * scale
+    warnings = [r for r in caplog.records if r.name == "pfluid.assembly"]
+    assert len(warnings) == diag.iterations
+    assert all(r.levelname == "WARNING" and "relative residual" in r.getMessage()
+               for r in warnings)
 
 
 def test_trajectory_reports():

@@ -7,7 +7,7 @@ import pytest
 
 from pfluid.fespace import FESpace, element_pair, interpolate
 from pfluid.mesh import unit_square_mesh
-from pfluid.pstructure import StressModel
+from pfluid.pstructure import DegenerateGradientError, StressModel
 from pfluid.stepper import TimeGrid, Trajectory
 from pfluid.verification import (
     CSV_HEADER,
@@ -149,6 +149,30 @@ def test_forcing_fd_cross_check(ms):
         u = ms.u(t, x[None])[0]
         expected = ms.dt_u(t, x[None])[0] + G @ u + ms.grad_q(t, x[None])[0] - divS
         assert np.max(np.abs(f(t, x[None])[0] - expected)) < 1e-6
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.0])
+def test_forcing_matches_four_index_contraction(ms, delta):
+    """The closed-form div S equals the 4-index Jacobian contracted with
+    the Hessian; at delta = 0 the points avoid the zeros of Du."""
+    model = StressModel(1.7, delta)
+    f = forcing_from(ms, model)
+    X = interior_points(np.random.default_rng(6), 200)
+    for t in (0.0, 0.3):
+        G = ms.grad_u(t, X)
+        H = ms.hess_u(t, X)
+        dA = 0.5 * (H + np.swapaxes(H, -3, -2))
+        divS = np.einsum("...ijkl,...klj->...i", model.stress_jacobian(G), dA)
+        conv = np.einsum("...il,...l->...i", G, ms.u(t, X))
+        expected = ms.dt_u(t, X) + conv + ms.grad_q(t, X) - divS
+        assert np.max(np.abs(f(t, X) - expected)) < 1e-13 * np.abs(expected).max()
+
+
+def test_forcing_raises_where_du_vanishes(ms):
+    # sym Du = 0 at the domain center, where the delta = 0 derivative blows up
+    f = forcing_from(ms, StressModel(1.5, 0.0))
+    with pytest.raises(DegenerateGradientError):
+        f(0.0, np.array([[0.5, 0.5]]))
 
 
 def test_forcing_degenerate_guard(ms):
