@@ -1,11 +1,18 @@
 """Weak-form assembly and saddle-point linear algebra.
 
-Bilinear forms are assembled cellwise from batched two-operand
-contractions (einsum or matmul over the cell axis).  Mass, stiffness
-and divergence are scattered into scipy.sparse matrices; the stress
-linearization and the convection return element matrices of shape
-(n_cells, d*n_local, d*n_local) on ``FESpace.local_vector_dofs``, which
-``global_matrix`` scatters when a sparse matrix is wanted.
+Per-iteration work at the quadrature points is batched dense matmuls
+on fixed layouts followed by one scatter.  Fields come from
+``FESpace.eval_at_qp``/``grad_at_qp``; the stress residual is one
+matmul of the weighted stress with the gradient rows
+(``FESpace.grad_rows``, (n_cells, n_local, nq*d)) and the load vector
+one matmul with the basis table.  Cell vectors are summed into global
+vectors with ``np.bincount`` on ``local_vector_dofs().ravel()``.  Mass,
+stiffness and divergence, assembled once per space, are two-operand
+einsums scattered into scipy.sparse matrices.  The stress linearization
+and the convection return element matrices of shape
+(n_cells, d*n_local, d*n_local) on ``FESpace.local_vector_dofs``;
+``local_matvec`` applies them to a vector without assembling, and
+``global_matrix`` scatters them when a sparse matrix is wanted.
 
 The stress linearization uses the closed form of the derivative of
 S(P) = (delta + |sym P|)^(p-2) sym P,
@@ -77,9 +84,9 @@ class LinearSolveError(RuntimeError):
     """Sparse factorization or solve failed."""
 
 
-def _wdet(space, degree):
-    rule = space.tabulation(degree)[0]
-    return space.detJ[:, None] * rule.weights[None, :]
+def _scatter_vector(dofs, cell_values, n):
+    """Vector of length n summing cell_values into the global dofs."""
+    return np.bincount(np.ravel(dofs), weights=np.ravel(cell_values), minlength=n)
 
 
 def _scatter(local, row_dofs, col_dofs, shape):
@@ -98,7 +105,7 @@ def assemble_mass(space, degree=None):
     if degree is None:
         degree = 2 * space.element.degree + 1
     _, phi, _, _ = space.tabulation(degree)
-    wd = _wdet(space, degree)
+    wd = space.cell_weights(degree)
     local = np.einsum("cq,qa,qb->cab", wd, phi, phi)
     M = _scatter(local, space.cell_dofs, space.cell_dofs, (space.n_scalar, space.n_scalar))
     if space.n_components == 1:
@@ -111,7 +118,7 @@ def assemble_stiffness(space, degree=None):
     if degree is None:
         degree = 2 * space.element.degree
     _, _, gphys, _ = space.tabulation(degree)
-    wd = _wdet(space, degree)
+    wd = space.cell_weights(degree)
     local = np.einsum("cq,cqal,cqbl->cab", wd, gphys, gphys)
     K = _scatter(local, space.cell_dofs, space.cell_dofs, (space.n_scalar, space.n_scalar))
     if space.n_components == 1:
@@ -125,7 +132,7 @@ def assemble_divergence(v_space, q_space, degree=None):
         degree = v_space.element.degree + q_space.element.degree + 1
     _, psi, _, _ = q_space.tabulation(degree)
     _, _, gphys, _ = v_space.tabulation(degree)
-    wd = _wdet(v_space, degree)
+    wd = v_space.cell_weights(degree)
     # (psi_e, d_i phi_b) goes to column i*n_scalar + b
     local = np.einsum("cq,qe,cqbi->ceib", wd, psi, gphys)
     nc = v_space.mesh.n_cells
@@ -140,17 +147,14 @@ def pressure_mean_vector(q_space, degree=None):
     if degree is None:
         degree = q_space.element.degree + 1
     _, psi, _, _ = q_space.tabulation(degree)
-    wd = _wdet(q_space, degree)
-    cell = np.einsum("cq,qe->ce", wd, psi)
-    w = np.zeros(q_space.n_dofs)
-    np.add.at(w, q_space.cell_dofs, cell)
-    return w
+    wd = q_space.cell_weights(degree)
+    return _scatter_vector(q_space.cell_dofs, wd @ psi, q_space.n_dofs)
 
 
 def assemble_rhs(space, f, degree=5):
     """Load vector of (f, phi) for a pointwise callable f."""
     _, phi, _, xq = space.tabulation(degree)
-    wd = _wdet(space, degree)
+    wd = space.cell_weights(degree)
     nc, nq = xq.shape[:2]
     vals = np.asarray(f(xq.reshape(-1, space.mesh.dim)), dtype=float)
     vals = vals.reshape(nc, nq, -1)
@@ -159,20 +163,22 @@ def assemble_rhs(space, f, degree=5):
             f"callable returned {vals.shape[-1]} components, "
             f"space has {space.n_components}"
         )
-    cell = np.einsum("cq,cqi,qa->cia", wd, vals, phi)
-    out = np.zeros(space.n_dofs)
-    dofs = np.concatenate(
-        [space.cell_dofs + i * space.n_scalar for i in range(space.n_components)],
-        axis=1,
-    )
-    np.add.at(out, dofs, cell.reshape(nc, -1))
-    return out
+    # cell[c, i, a] = sum_q wd vals[c, q, i] phi[q, a]
+    cell = np.matmul(np.swapaxes(wd[:, :, None] * vals, 1, 2), phi)
+    return _scatter_vector(space.local_vector_dofs(), cell, space.n_dofs)
 
 
 def global_matrix(v_space, local):
     """Sparse matrix of vector element matrices on local_vector_dofs()."""
     dofs = v_space.local_vector_dofs()
     return _scatter(local, dofs, dofs, (v_space.n_dofs, v_space.n_dofs))
+
+
+def local_matvec(v_space, local, coeffs):
+    """global_matrix(v_space, local) @ coeffs without building the matrix."""
+    dofs = v_space.local_vector_dofs()
+    x = np.asarray(coeffs, dtype=float)[dofs]
+    return _scatter_vector(dofs, np.matmul(local, x[:, :, None]), v_space.n_dofs)
 
 
 def _sym_gradient_local(wg, gphys):
@@ -209,12 +215,16 @@ def assemble_stress(v_space, coeffs, model: StressModel, degree=5, jacobian="new
     """
     grad = v_space.grad_at_qp(coeffs, degree)
     _, _, gphys, _ = v_space.tabulation(degree)
-    wd = _wdet(v_space, degree)
+    wd = v_space.cell_weights(degree)
     nc, nq, nloc, d = gphys.shape
     if jacobian is None:
-        res_cell = np.einsum("cq,cqil,cqal->cia", wd, model.stress(grad), gphys)
-        residual = np.zeros(v_space.n_dofs)
-        np.add.at(residual, v_space.local_vector_dofs(), res_cell.reshape(nc, -1))
+        # res[c, i, a] = sum_(q,l) wd S[c, q, i, l] d_l phi_a, one matmul
+        # with the gradient rows (nc, nloc, nq*d)
+        WS = np.swapaxes(wd[:, :, None, None] * model.stress(grad), 1, 2)
+        res_cell = np.matmul(WS.reshape(nc, -1, nq * d),
+                             np.swapaxes(v_space.grad_rows(degree), 1, 2))
+        residual = _scatter_vector(v_space.local_vector_dofs(), res_cell,
+                                   v_space.n_dofs)
         return residual, None
 
     # DS = g Sym + radial A (x) A: the g part is the weighted
@@ -250,16 +260,18 @@ def assemble_convection(v_space, transport_coeffs, degree=None):
     if degree is None:
         degree = 3 * v_space.element.degree
     _, phi, gphys, _ = v_space.tabulation(degree)
-    wvals = v_space.eval_at_qp(transport_coeffs, degree)
-    wd = _wdet(v_space, degree)
-    # C[c, a, b] = sum_q wd (u . grad phi_b) phi_a
-    transport = np.einsum("cqi,cqbi->cqb", wd[:, :, None] * wvals, gphys)
-    C = np.matmul(phi.T, transport)
-    nc, nloc = C.shape[:2]
-    d = v_space.n_components
+    nc, nq, nloc, d = gphys.shape
+    wu = v_space.cell_weights(degree)[:, :, None] * v_space.eval_at_qp(
+        transport_coeffs, degree)
+    # transport[c, b, q] = wd (u . grad phi_b) at point q, summed
+    # elementwise over the components of the gradient rows
+    rows = v_space.grad_rows(degree).reshape(nc, nloc, nq, d)
+    transport = sum(rows[..., i] * wu[:, None, :, i] for i in range(d))
+    # Ct[c, b, a] = C[c, a, b] = sum_q transport[c, b, q] phi_a
+    Ct = (transport.reshape(nc * nloc, nq) @ phi).reshape(nc, nloc, nloc)
     local = np.zeros((nc, d, nloc, d, nloc))
     for i in range(d):
-        local[:, i, :, i, :] = 0.5 * (C - np.swapaxes(C, 1, 2))
+        local[:, i, :, i, :] = 0.5 * (np.swapaxes(Ct, 1, 2) - Ct)
     return local.reshape(nc, d * nloc, d * nloc)
 
 

@@ -274,6 +274,8 @@ class FESpace:
         self._cell_x0 = X[:, 0, :]
         self._cell_X = X
         self._tab = {}
+        self._wdet = {}
+        self._vector_dofs = None
 
     # edge lookup through the sorted-key table built at init
     def _edge_index(self, va, vb):
@@ -284,15 +286,40 @@ class FESpace:
         return self._edge_order[pos]
 
     def tabulation(self, degree):
-        """Cached (rule, basis, physical gradients, quadrature coords)."""
+        """Cached (rule, basis, physical gradients, quadrature coords).
+
+        The physical gradients are returned as an (nc, nq, n_local, d)
+        view of one C-contiguous (nc, n_local, nq, d) array, the layout
+        the field and residual kernels multiply with (``grad_rows``).
+        """
         if degree not in self._tab:
             rule = quadrature_for(degree, self.mesh.dim)
             phi = self.element.eval(rule.points)
-            dlam = self.element.dlambda(rule.points)
-            gphys = np.einsum("qbk,ckl->cqbl", dlam, self.grad_lambda)
+            dlam = self.element.dlambda(rule.points)  # (nq, n_local, d+1)
+            nq, nloc, nk = dlam.shape
+            # rows[c, b, q, l] = sum_k dlam[q, b, k] grad_lambda[c, k, l]
+            D = np.swapaxes(dlam, 0, 1).reshape(nloc * nq, nk)
+            rows = np.matmul(D, self.grad_lambda).reshape(
+                self.mesh.n_cells, nloc, nq, self.mesh.dim)
+            gphys = np.swapaxes(rows, 1, 2)
             xq = np.einsum("qk,ckl->cql", rule.points, self._cell_X)
             self._tab[degree] = (rule, phi, gphys, xq)
         return self._tab[degree]
+
+    def grad_rows(self, degree):
+        """Physical gradients as (nc, n_local, nq*d); no copy is made."""
+        gphys = self.tabulation(degree)[2]
+        nc, nq, nloc, d = gphys.shape
+        return np.swapaxes(gphys, 1, 2).reshape(nc, nloc, nq * d, copy=False)
+
+    def cell_weights(self, degree):
+        """Cached (nc, nq) quadrature weights |det J| w_q of each cell."""
+        if degree not in self._wdet:
+            rule = self.tabulation(degree)[0]
+            wd = self.detJ[:, None] * rule.weights[None, :]
+            wd.flags.writeable = False
+            self._wdet[degree] = wd
+        return self._wdet[degree]
 
     def boundary_scalar_dofs(self):
         mesh = self.mesh
@@ -313,11 +340,14 @@ class FESpace:
         )
 
     def local_vector_dofs(self):
-        """(nc, ncomp * n_local) global dofs, component-major."""
-        return np.concatenate(
-            [self.cell_dofs + i * self.n_scalar for i in range(self.n_components)],
-            axis=1,
-        )
+        """(nc, ncomp * n_local) global dofs, component-major (cached)."""
+        if self._vector_dofs is None:
+            self._vector_dofs = np.concatenate(
+                [self.cell_dofs + i * self.n_scalar for i in range(self.n_components)],
+                axis=1,
+            )
+            self._vector_dofs.flags.writeable = False
+        return self._vector_dofs
 
     # -- field evaluation at quadrature points -------------------------
 
@@ -325,18 +355,27 @@ class FESpace:
         return np.asarray(coeffs, dtype=float).reshape(self.n_components, self.n_scalar)
 
     def eval_at_qp(self, coeffs, degree):
-        """Values (nc, nq, ncomp) at the quadrature points."""
+        """Values at the quadrature points, C-contiguous (nc, nq, ncomp).
+
+        One matmul of the basis table (nq, n_local) with the local
+        coefficients, cell by cell.
+        """
         _, phi, _, _ = self.tabulation(degree)
         U = self.coeffs_by_component(coeffs)
-        Uloc = U[:, self.cell_dofs]  # (ncomp, nc, nb)
-        return np.einsum("qb,icb->cqi", phi, Uloc)
+        return np.matmul(phi, U.T[self.cell_dofs])
 
     def grad_at_qp(self, coeffs, degree):
-        """Gradients (nc, nq, ncomp, d) at the quadrature points."""
-        _, _, gphys, _ = self.tabulation(degree)
+        """Gradients at the quadrature points, C-contiguous (nc, nq, ncomp, d).
+
+        One batched matmul of the local coefficients (nc, ncomp, n_local)
+        with the gradient rows (nc, n_local, nq*d), then one transposing
+        copy.
+        """
+        G = self.grad_rows(degree)
         U = self.coeffs_by_component(coeffs)
-        Uloc = U[:, self.cell_dofs]
-        return np.einsum("cqbl,icb->cqil", gphys, Uloc)
+        Uloc = np.swapaxes(U[:, self.cell_dofs], 0, 1)  # (nc, ncomp, nloc)
+        out = np.matmul(Uloc, G).reshape(len(G), self.n_components, -1, self.mesh.dim)
+        return np.ascontiguousarray(np.swapaxes(out, 1, 2))
 
     def integrate(self, values, degree):
         """Integral over the mesh of per-point values (nc, nq, ...)."""

@@ -38,7 +38,7 @@ def sym_part(P):
 def tensor_norm(P):
     """Frobenius norm over the trailing two axes."""
     P = np.asarray(P, dtype=float)
-    return np.sqrt(np.sum(P * P, axis=(-1, -2)))
+    return np.sqrt(np.einsum("...ij,...ij->...", P, P))
 
 
 def tensor_dot(P, Q):

@@ -74,7 +74,13 @@ class StepDiagnostics:
 
 
 class StepperContext:
-    """Shared matrices and options for a sequence of steps."""
+    """Shared matrices and options for a sequence of steps.
+
+    The convection N of a step stays as element matrices: they are
+    scattered into the KKT data once per step, and N @ U in the residual
+    is an element matvec (``assembly.local_matvec``), so no sparse N is
+    built.
+    """
 
     def __init__(self, v_space, q_space, model, kappa, options=None):
         self.v_space = v_space
@@ -98,11 +104,12 @@ class StepperContext:
         )
         self._fixed_data = self.kkt.base + self.kkt.scatter(1, M.data / self.kappa)
 
-    def _residual(self, U, Q, U_prev, N, F):
+    def _residual(self, U, Q, U_prev, N_local, F):
         s, _ = assembly.assemble_stress(
             self.v_space, U, self.model, degree=self.opts.quad_degree, jacobian=None
         )
-        Ru = self.M @ (U - U_prev) / self.kappa + s + N @ U - self.B.T @ Q - F
+        NU = assembly.local_matvec(self.v_space, N_local, U)
+        Ru = self.M @ (U - U_prev) / self.kappa + s + NU - self.B.T @ Q - F
         Ru = np.where(self._free > 0.0, Ru, U)
         return np.concatenate([Ru, self.B @ U])
 
@@ -124,7 +131,6 @@ class StepperContext:
         else:
             F = np.zeros(nu)
         N_local = assembly.assemble_convection(self.v_space, U_prev)
-        N = assembly.global_matrix(self.v_space, N_local)
         step_data = self._fixed_data + self.kkt.scatter(0, N_local)
         rhs_u = F + self.M @ U_prev / self.kappa
         tol_eff = max(opts.tol * float(np.linalg.norm(rhs_u)), opts.abs_tol)
@@ -140,7 +146,7 @@ class StepperContext:
 
         history = []
         backtracks = 0
-        R = self._residual(U, Q, U_prev, N, F)
+        R = self._residual(U, Q, U_prev, N_local, F)
         rnorm = float(np.linalg.norm(R))
         history.append(rnorm)
         mode = opts.method
@@ -176,7 +182,7 @@ class StepperContext:
                 accepted = False
                 for _ in range(opts.max_backtrack + 1):
                     x_try = x + lam * d
-                    R_try = self._residual(*unpack(x_try), U_prev, N, F)
+                    R_try = self._residual(*unpack(x_try), U_prev, N_local, F)
                     r_try = float(np.linalg.norm(R_try))
                     if r_try <= (1.0 - 1e-4 * lam) * rnorm or r_try <= tol_eff:
                         x, R, rnorm = x_try, R_try, r_try
@@ -203,7 +209,7 @@ class StepperContext:
                     raise NonConvergenceError(
                         f"linear solve failed at t={t_m:.6g}: {exc}"
                     ) from exc
-                R = self._residual(*unpack(x), U_prev, N, F)
+                R = self._residual(*unpack(x), U_prev, N_local, F)
                 rnorm = float(np.linalg.norm(R))
                 history.append(rnorm)
                 total_iters += 1
@@ -257,24 +263,16 @@ class Trajectory:
             "dissipation": float(self.grid.kappa * np.sum(fsq[1:])),
         }
 
-    def divergence_max(self):
+    def divergences(self):
+        """max_e |(div u_h^m, psi_e)| / ||psi_e||_2 over the pressure
+        basis, for m = 0..M."""
         B = assembly.assemble_divergence(self.v_space, self.q_space)
-        Mq = assembly.assemble_mass(self.q_space)
-        psi_norms = np.sqrt(Mq.diagonal())
-        worst = 0.0
-        for U in self.velocities:
-            r = np.abs(B @ U) / psi_norms
-            worst = max(worst, float(np.max(r)))
-        return worst
+        psi_norms = np.sqrt(assembly.assemble_mass(self.q_space).diagonal())
+        return np.array([float(np.max(np.abs(B @ U) / psi_norms))
+                         for U in self.velocities])
 
-
-def discrete_divergence_check(u: DiscreteField, q_space, B=None):
-    """max_e |(div u_h, psi_e)| / ||psi_e||_2 over the pressure basis."""
-    if B is None:
-        B = assembly.assemble_divergence(u.space, q_space)
-    Mq = assembly.assemble_mass(q_space)
-    psi_norms = np.sqrt(Mq.diagonal())
-    return float(np.max(np.abs(B @ u.coeffs) / psi_norms))
+    def divergence_max(self):
+        return float(np.max(self.divergences()))
 
 
 def run_simulation(v_space, q_space, model, grid: TimeGrid, u0, f=None,

@@ -19,6 +19,7 @@ from pfluid.assembly import (
     assemble_stiffness,
     assemble_stress,
     global_matrix,
+    local_matvec,
     pressure_mean_vector,
     solve_saddle,
 )
@@ -392,8 +393,31 @@ def ref_weights(vs, degree):
     return vs.detJ[:, None] * vs.tabulation(degree)[0].weights[None, :]
 
 
+def ref_values(vs, c, degree):
+    """Field values (nc, nq, ncomp) from the tabulated basis."""
+    _, phi, _, _ = vs.tabulation(degree)
+    return np.einsum("qb,icb->cqi", phi, vs.coeffs_by_component(c)[:, vs.cell_dofs])
+
+
+def ref_grad(vs, c, degree):
+    """Field gradients (nc, nq, ncomp, d) from the tabulated gradients."""
+    _, _, gphys, _ = vs.tabulation(degree)
+    return np.einsum("cqbl,icb->cqil", gphys,
+                     vs.coeffs_by_component(c)[:, vs.cell_dofs])
+
+
+def ref_residual(vs, c, model, degree=5):
+    """(S(Du), Dv) contracted in one einsum and summed with np.add.at."""
+    _, _, gphys, _ = vs.tabulation(degree)
+    S = model.stress(ref_grad(vs, c, degree))
+    cell = np.einsum("cq,cqil,cqal->cia", ref_weights(vs, degree), S, gphys)
+    out = np.zeros(vs.n_dofs)
+    np.add.at(out, vs.local_vector_dofs(), cell.reshape(len(cell), -1))
+    return out
+
+
 def ref_stress_local(vs, c, model, jacobian, degree=5, floor=1e-8):
-    grad = vs.grad_at_qp(c, degree)
+    grad = ref_grad(vs, c, degree)
     _, _, gphys, _ = vs.tabulation(degree)
     wd = ref_weights(vs, degree)
     nc, _, nloc, d = gphys.shape
@@ -415,7 +439,7 @@ def ref_stress_local(vs, c, model, jacobian, degree=5, floor=1e-8):
 def ref_convection(vs, u):
     degree = 3 * vs.element.degree
     _, phi, gphys, _ = vs.tabulation(degree)
-    wvals = vs.eval_at_qp(u, degree)
+    wvals = ref_values(vs, u, degree)
     C_local = np.einsum("cq,cqi,cqbi,qa->cab", ref_weights(vs, degree), wvals,
                         gphys, phi)
     rows = np.broadcast_to(vs.cell_dofs[:, :, None], C_local.shape)
@@ -456,6 +480,62 @@ def ref_augmented_matrix(A, B, w, bdofs):
 
 def rel_err(a, b):
     return np.abs(a - b).max() / np.abs(b).max()
+
+
+@pytest.mark.parametrize("degree", [1, 5, 7])
+@pytest.mark.parametrize("ncomp", [1, 2])
+@pytest.mark.parametrize("element", ["P0", "P1", "P1b", "P2"])
+def test_field_evaluation_matches_reference(element, ncomp, degree):
+    vs = FESpace(unit_square_mesh(4), element, n_components=ncomp)
+    rule, _, gphys, _ = vs.tabulation(degree)
+    dlam = vs.element.dlambda(rule.points)
+    np.testing.assert_allclose(
+        gphys, np.einsum("qbk,ckl->cqbl", dlam, vs.grad_lambda), rtol=0, atol=1e-13)
+    c = np.random.default_rng(11).standard_normal(vs.n_dofs)
+    vals = vs.eval_at_qp(c, degree)
+    grad = vs.grad_at_qp(c, degree)
+    nc, nq = vs.mesh.n_cells, len(rule.weights)
+    assert vals.shape == (nc, nq, ncomp) and vals.flags.c_contiguous
+    assert grad.shape == (nc, nq, ncomp, 2) and grad.flags.c_contiguous
+    ref_v, ref_g = ref_values(vs, c, degree), ref_grad(vs, c, degree)
+    assert np.abs(vals - ref_v).max() <= 1e-13 * np.abs(ref_v).max()
+    # P0 gradients vanish, so the bound is absolute there
+    assert np.abs(grad - ref_g).max() <= 1e-13 * max(np.abs(ref_g).max(), 1.0)
+
+
+@pytest.mark.parametrize("pair", ["MINI", "TH"])
+@pytest.mark.parametrize("p,delta", [(1.7, 0.1), (1.5, 0.0)])
+def test_stress_residual_matches_reference(pair, p, delta):
+    vs, _ = spaces(pair, 4)
+    c = 0.5 * np.random.default_rng(12).standard_normal(vs.n_dofs)
+    model = StressModel(p, delta)
+    # at delta = 0 the stress is singular where sym Du vanishes; stay away
+    A = 0.5 * (ref_grad(vs, c, 5) + np.swapaxes(ref_grad(vs, c, 5), -1, -2))
+    assert np.sqrt(np.sum(A * A, axis=(-1, -2))).min() > 1e-3
+    residual, local = assemble_stress(vs, c, model, jacobian=None)
+    assert local is None
+    assert rel_err(residual, ref_residual(vs, c, model)) < 1e-13
+
+
+@pytest.mark.parametrize("pair", ["MINI", "TH"])
+def test_rhs_matches_reference(pair):
+    vs, _ = spaces(pair, 4)
+    f = lambda X: np.column_stack([np.sin(3.0 * X[:, 0]), X[:, 0] * X[:, 1] ** 2])
+    _, phi, _, xq = vs.tabulation(5)
+    vals = f(xq.reshape(-1, 2)).reshape(xq.shape[0], xq.shape[1], 2)
+    cell = np.einsum("cq,cqi,qa->cia", ref_weights(vs, 5), vals, phi)
+    ref = np.zeros(vs.n_dofs)
+    np.add.at(ref, vs.local_vector_dofs(), cell.reshape(len(cell), -1))
+    assert rel_err(assemble_rhs(vs, f, degree=5), ref) < 1e-13
+
+
+@pytest.mark.parametrize("pair", ["MINI", "TH"])
+def test_local_matvec_matches_global_matrix(pair):
+    vs, _ = spaces(pair, 4)
+    rng = np.random.default_rng(13)
+    N = assemble_convection(vs, rng.standard_normal(vs.n_dofs))
+    U = rng.standard_normal(vs.n_dofs)
+    assert rel_err(local_matvec(vs, N, U), global_matrix(vs, N) @ U) < 1e-13
 
 
 OPERATOR_CASES = [("newton", 1.7, 0.1), ("newton", 1.5, 0.0), ("picard", 1.6, 0.1)]
