@@ -4,7 +4,8 @@ shear-thinning flow with power-law type stress.
 Subpackages follow the pipeline: constitutive algebra (pstructure),
 triangulations (mesh), discrete spaces (fespace), weak forms (assembly),
 time stepping (stepper), error studies and inequality checks
-(verification), and the command line front end (cli).
+(verification), text tables (tables), and the command line front end
+(cli).
 """
 
 from .pstructure import StressModel, sym_part

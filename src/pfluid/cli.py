@@ -25,6 +25,7 @@ from .mesh import unit_square_mesh
 from .pstructure import RATIO_NAMES, StressModel, equivalence_envelope
 from .stepper import (NonConvergenceError, SolverOptions, TimeGrid,
                       run_simulation)
+from .tables import report
 
 log = logging.getLogger("pfluid.cli")
 
@@ -251,27 +252,6 @@ def _validate_command_args(cfg: RunConfig):
             raise ConfigError("study requires a manufactured solution id")
 
 
-def report(table) -> str:
-    """Fixed-width text table; floats at 6 significant digits."""
-    def fmt(cell):
-        if isinstance(cell, bool):
-            return str(cell)
-        if isinstance(cell, (int, np.integer)):
-            return str(int(cell))
-        if isinstance(cell, (float, np.floating)):
-            return "" if np.isnan(cell) else f"{float(cell):.6g}"
-        return str(cell)
-
-    rows = [[fmt(c) for c in row] for row in table]
-    ncols = max(len(r) for r in rows)
-    widths = [max(len(r[j]) for r in rows if j < len(r)) for j in range(ncols)]
-    lines = [
-        "  ".join(c.rjust(widths[j]) for j, c in enumerate(r)).rstrip()
-        for r in rows
-    ]
-    return "\n".join(lines) + "\n"
-
-
 def _write(path: Path, text: str):
     path.write_text(text)
     log.info("wrote %s", path)
@@ -325,7 +305,7 @@ def _run_simulate(cfg: RunConfig, outdir: Path) -> int:
 def _study_config(cfg: RunConfig) -> verif.StudyConfig:
     kw = dict(p=cfg.p, delta=cfg.delta, element=cfg.element, t_end=cfg.t_end,
               manufactured=cfg.manufactured, quad_flow=cfg.quad_flow,
-              quad_error=cfg.quad_error, seed=cfg.seed)
+              quad_error=cfg.quad_error)
     if cfg.levels is not None:
         return verif.StudyConfig(levels=cfg.levels, sigma=cfg.sigma,
                                  mode="coupled", **kw)

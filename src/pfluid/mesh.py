@@ -338,8 +338,3 @@ def read_mesh_text(text) -> Mesh:
     mesh = Mesh(coords, conn, bf, np.ones(len(bf), dtype=np.int64), level=0)
     check_conformity(mesh)
     return mesh
-
-
-def read_mesh_file(path) -> Mesh:
-    with open(path, "r", encoding="utf-8") as fh:
-        return read_mesh_text(fh.read())

@@ -13,7 +13,7 @@ shape (..., d, d) and scalar arguments shape (...).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 
 # Below this symmetric-gradient magnitude the unregularized Jacobian
@@ -65,20 +65,11 @@ class StressModel:
         Regularization parameter, required to be nonnegative.
     dim : int
         Spatial dimension of the tensors fed to the law (2 or 3).
-
-    Notes
-    -----
-    ``c0_est`` and ``c1_est`` are sampled lower/upper ellipticity and
-    growth constants of the stress Jacobian relative to the weight
-    (delta + |sym P|)^(p-2).  They are diagnostics only; no solver
-    branch reads them.
     """
 
     p: float
     delta: float
     dim: int = 2
-    c0_est: float | None = field(default=None, compare=False)
-    c1_est: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
         p = float(self.p)
@@ -178,35 +169,6 @@ class StressModel:
         if np.any(np.asarray(a) < 0.0):
             raise ValueError("shift a must be nonnegative")
         return ShiftedNFunction(self, float(a) if np.ndim(a) == 0 else a)
-
-    # -- diagnostics ---------------------------------------------------
-
-    def estimate_characteristics(self, n_samples=2000, seed=0):
-        """Sample ellipticity/growth constants of the Jacobian.
-
-        Populates ``c0_est`` (smallest Rayleigh quotient of DS(P) on
-        symmetric directions, relative to (delta+|sym P|)^(p-2)) and
-        ``c1_est`` (largest operator-norm ratio).  Returns (c0, c1).
-        """
-        rng = np.random.default_rng(seed)
-        d = self.dim
-        P = rng.uniform(-2.0, 2.0, size=(n_samples, d, d))
-        Q = rng.uniform(-1.0, 1.0, size=(n_samples, d, d))
-        A = sym_part(P)
-        t = tensor_norm(A)
-        if self.delta == 0.0:
-            keep = t > 1e-8
-            P, Q, t = P[keep], Q[keep], t[keep]
-        J = self.stress_jacobian(P)
-        B = sym_part(Q)
-        w = _safe_pow(self.delta + t, self.p - 2.0)
-        JB = np.einsum("nijkl,nkl->nij", J, B)
-        num = tensor_dot(JB, B)
-        den = w * tensor_norm(B) ** 2
-        ok = den > 0.0
-        self.c0_est = float(np.min(num[ok] / den[ok]))
-        self.c1_est = float(np.max(tensor_norm(JB)[ok] / (w[ok] * tensor_norm(B)[ok])))
-        return self.c0_est, self.c1_est
 
 
 @dataclass

@@ -252,8 +252,3 @@ def test_quasi_norm_ratio_degenerate_pair():
     assert quasi_norm_lower_bound_ratio(model, 1.0, 0.0, 0.0) == np.inf
     r = quasi_norm_lower_bound_ratio(model, 1.0, 0.5, 0.25)
     assert np.isfinite(r) and r > 0.0
-
-
-def test_estimate_characteristics():
-    c0, c1 = StressModel(1.7, 0.2).estimate_characteristics(seed=1)
-    assert 0.0 < c0 <= c1 < np.inf

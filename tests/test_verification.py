@@ -2,9 +2,15 @@
 forcing cross-checks by finite differences, error bookkeeping, and the
 inequality checkers on hand-built data."""
 
+import os
+from pathlib import Path
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import pfluid
 from pfluid.fespace import FESpace, element_pair, interpolate
 from pfluid.mesh import unit_square_mesh
 from pfluid.pstructure import DegenerateGradientError, StressModel
@@ -33,6 +39,9 @@ from pfluid.verification import (
 )
 
 
+KINDS = ("smooth-periodic", "time-dominant")
+
+
 @pytest.fixture(scope="module")
 def ms():
     return manufactured_default()
@@ -44,26 +53,30 @@ def interior_points(rng, n):
 
 # -- manufactured solution calculus ------------------------------------
 
-def test_manufactured_divergence_free(ms):
+def test_manufactured_divergence_free():
     rng = np.random.default_rng(0)
     X = interior_points(rng, 400)
-    for t in (0.0, 0.13, 0.5):
-        G = ms.grad_u(t, X)
-        assert np.max(np.abs(G[..., 0, 0] + G[..., 1, 1])) < 1e-12
+    for kind in KINDS:
+        sol = manufactured_default(kind)
+        for t in (0.0, 0.13, 0.5):
+            G = sol.grad_u(t, X)
+            assert np.max(np.abs(G[..., 0, 0] + G[..., 1, 1])) < 1e-12
 
 
-def test_manufactured_boundary_values(ms):
+def test_manufactured_boundary_values():
     s = np.linspace(0.0, 1.0, 33)
     zero = np.zeros_like(s)
     one = np.ones_like(s)
     X = np.concatenate([
         np.column_stack([s, zero]), np.column_stack([s, one]),
         np.column_stack([zero, s]), np.column_stack([one, s])])
-    # double zero of the stream function: velocity vanishes on the
-    # boundary, and the full gradient vanishes at the corners
-    assert np.max(np.abs(ms.u(0.37, X))) < 1e-14
     corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    assert np.max(np.abs(ms.grad_u(0.37, corners))) < 1e-14
+    for kind in KINDS:
+        sol = manufactured_default(kind)
+        # double zero of the stream function: velocity vanishes on the
+        # boundary, and the full gradient vanishes at the corners
+        assert np.max(np.abs(sol.u(0.37, X))) < 1e-14
+        assert np.max(np.abs(sol.grad_u(0.37, corners))) < 1e-14
 
 
 def test_manufactured_pressure_zero_mean(ms):
@@ -73,7 +86,7 @@ def test_manufactured_pressure_zero_mean(ms):
     assert abs(space.integrate(vals, 5)) < 1e-14
 
 
-@pytest.mark.parametrize("kind", ["smooth-periodic", "time-dominant"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_manufactured_time_derivative(kind):
     sol = manufactured_default(kind)
     rng = np.random.default_rng(1)
@@ -83,34 +96,95 @@ def test_manufactured_time_derivative(kind):
     assert np.max(np.abs(fd - sol.dt_u(t, X))) < 1e-6
 
 
-def test_manufactured_gradient_consistency(ms):
+def test_manufactured_gradient_consistency():
     rng = np.random.default_rng(2)
     X = interior_points(rng, 50)
     t, e = 0.4, 1e-6
-    G = ms.grad_u(t, X)
-    for j in range(2):
-        dX = np.zeros((1, 2))
-        dX[0, j] = e
-        fd = (ms.u(t, X + dX) - ms.u(t, X - dX)) / (2 * e)
-        assert np.max(np.abs(fd - G[..., j])) < 1e-8
+    for kind in KINDS:
+        sol = manufactured_default(kind)
+        G = sol.grad_u(t, X)
+        for j in range(2):
+            dX = np.zeros((1, 2))
+            dX[0, j] = e
+            fd = (sol.u(t, X + dX) - sol.u(t, X - dX)) / (2 * e)
+            assert np.max(np.abs(fd - G[..., j])) < 1e-8
 
 
-def test_manufactured_hessian_consistency(ms):
+def test_manufactured_hessian_consistency():
     rng = np.random.default_rng(3)
     X = interior_points(rng, 30)
     t, e = 0.15, 1e-5
-    H = ms.hess_u(t, X)
-    np.testing.assert_allclose(H, np.swapaxes(H, -1, -2), atol=1e-13)
-    for k in range(2):
-        dX = np.zeros((1, 2))
-        dX[0, k] = e
-        fd = (ms.grad_u(t, X + dX) - ms.grad_u(t, X - dX)) / (2 * e)
-        assert np.max(np.abs(fd - H[..., k])) < 1e-6
+    for kind in KINDS:
+        sol = manufactured_default(kind)
+        H = sol.hess_u(t, X)
+        np.testing.assert_allclose(H, np.swapaxes(H, -1, -2), atol=1e-13)
+        for k in range(2):
+            dX = np.zeros((1, 2))
+            dX[0, k] = e
+            fd = (sol.grad_u(t, X + dX) - sol.grad_u(t, X - dX)) / (2 * e)
+            assert np.max(np.abs(fd - H[..., k])) < 1e-6
 
 
 def test_manufactured_unknown_kind():
     with pytest.raises(ValueError, match="available"):
         manufactured_default("steady")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_manufactured_matches_symbolic_reference(kind):
+    """Every closed-form field equals sympy's derivatives of the same
+    psi, alpha and q; sympy is a test-only reference."""
+    sp = pytest.importorskip("sympy")
+    t, x, y = sp.symbols("t x y")
+    alpha = {
+        "smooth-periodic": 1 + sp.sin(2 * sp.pi * t) / 2,
+        "time-dominant": 1 + sp.Rational(9, 10) * sp.sin(16 * sp.pi * t),
+    }[kind]
+    psi = (x * (1 - x) * y * (1 - y)) ** 2
+    u = [alpha * sp.diff(psi, y), -alpha * sp.diff(psi, x)]
+    q = sp.cos(2 * sp.pi * t) * (x**3 + y**3 - sp.Rational(1, 2))
+    exprs = {
+        "u": u,
+        "grad_u": [[sp.diff(ui, v) for v in (x, y)] for ui in u],
+        "hess_u": [[[sp.diff(ui, v, w) for w in (x, y)] for v in (x, y)]
+                   for ui in u],
+        "dt_u": [sp.diff(ui, t) for ui in u],
+        "q": q,
+        "grad_q": [sp.diff(q, v) for v in (x, y)],
+    }
+    sol = manufactured_default(kind)
+    X = np.vstack([np.random.default_rng(8).uniform(0.0, 1.0, (60, 2)),
+                   [[0.0, 0.0], [0.5, 0.5], [1.0, 0.25]]])
+    for name, expr in exprs.items():
+        fn = sp.lambdify((t, x, y), expr, modules="numpy")
+        for tt in (0.0, 0.137, 0.5, 0.91):
+            ref = np.array([fn(tt, px, py) for px, py in X], dtype=float)
+            got = getattr(sol, name)(tt, X)
+            assert got.shape == ref.shape, name
+            err = np.max(np.abs(got - ref))
+            assert err <= 1e-13 * np.max(np.abs(ref)), (name, tt, err)
+
+
+def test_manufactured_needs_no_sympy():
+    """The solver path never imports sympy, not even transitively."""
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import pfluid.cli\n"
+        "from pfluid.pstructure import StressModel\n"
+        "from pfluid.verification import forcing_from, manufactured_default\n"
+        "X = np.array([[0.3, 0.6], [0.7, 0.2]])\n"
+        "for kind in ('smooth-periodic', 'time-dominant'):\n"
+        "    ms = manufactured_default(kind)\n"
+        "    forcing_from(ms, StressModel(1.8, 0.1))(0.3, X)\n"
+        "assert 'sympy' not in sys.modules\n"
+    )
+    src = str(Path(pfluid.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # -- forcing term ------------------------------------------------------
