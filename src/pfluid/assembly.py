@@ -23,6 +23,7 @@ from ``StressModel.jacobian_factors``.  Its element matrices are the
 g-weighted symmetric-gradient form plus, for Newton only, the rank-one
 term radial v (x) v with v[s, a] = A[s, l] d_l phi_a; Picard is the
 symmetric-gradient form with the frozen weight max(delta+t, floor)^(p-2).
+The floor scales with the iterate (see ``assemble_stress``).
 No 4-index tensor is formed.  The convection trilinear form is used in
 the skew-symmetrized version
 
@@ -70,7 +71,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .pstructure import StressModel
+from .pstructure import StressModel, _safe_pow, sym_part, tensor_norm
 
 log = logging.getLogger(__name__)
 
@@ -199,14 +200,27 @@ def _sym_gradient_local(wg, gphys):
     return local
 
 
+def _shift_floor(t, jac_delta_floor):
+    """Shift floor jac_delta_floor * min(1, max t), t = |sym Du| at the
+    quadrature points; a zero iterate has no scale and gets
+    jac_delta_floor itself."""
+    tmax = float(np.max(t, initial=0.0))
+    return jac_delta_floor * min(1.0, tmax) if tmax > 0.0 else jac_delta_floor
+
+
 def assemble_stress(v_space, coeffs, model: StressModel, degree=5, jacobian="newton",
                     jac_delta_floor=1e-8):
     """Stress residual (S(Du), Dv) or a linearization of it.
 
     jacobian: None for the residual, "newton" for the exact derivative
-    (with the shift floored at jac_delta_floor to keep the weight
-    representable) or "picard" for the frozen-weight secant operator.
-    The residual always uses the unmodified model.
+    or "picard" for the frozen-weight secant operator.  Both keep their
+    weights representable with one floor, jac_delta_floor *
+    min(1, max_q |sym Du|) (``_shift_floor``): Newton differentiates the
+    model with delta raised to the floor, Picard freezes the weight
+    max(delta + |sym Du|, floor)^(p-2).  Scaling the floor with the
+    iterate keeps the Newton derivative accurate and the Picard fixed
+    point a root of the residual as the flow comes to rest.  The
+    residual always uses the unmodified model.
 
     Returns (residual, local): the residual vector and None for
     jacobian=None, else None and the element matrices of the
@@ -232,17 +246,18 @@ def assemble_stress(v_space, coeffs, model: StressModel, degree=5, jacobian="new
     # radial v (x) v with v[s, a] = A[s, l] d_l phi_a
     if jacobian == "newton":
         jmodel = model
+        # the floor can only exceed delta when delta < jac_delta_floor
         if model.delta < jac_delta_floor:
-            jmodel = StressModel(model.p, jac_delta_floor, model.dim)
+            floor = _shift_floor(tensor_norm(sym_part(grad)), jac_delta_floor)
+            if model.delta < floor:
+                jmodel = StressModel(model.p, floor, model.dim)
         A, g, radial = jmodel.jacobian_factors(grad)
         local = _sym_gradient_local(wd * g, gphys).reshape(nc, d * nloc, d * nloc)
         v = np.matmul(A, np.swapaxes(gphys, 2, 3)).reshape(nc, nq, d * nloc)
         local += np.matmul(np.swapaxes((wd * radial)[:, :, None] * v, 1, 2), v)
     elif jacobian == "picard":
-        from .pstructure import _safe_pow, sym_part, tensor_norm
-
         t = tensor_norm(sym_part(grad))
-        shift = np.maximum(model.delta + t, jac_delta_floor)
+        shift = np.maximum(model.delta + t, _shift_floor(t, jac_delta_floor))
         g = _safe_pow(shift, model.p - 2.0)
         local = _sym_gradient_local(wd * g, gphys).reshape(nc, d * nloc, d * nloc)
     else:

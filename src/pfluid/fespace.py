@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 
 # -- quadrature --------------------------------------------------------
@@ -35,14 +34,25 @@ class QuadratureRule:
 
 
 def _gauss_01(n):
-    x, w = roots_legendre(n)
+    x, w = np.polynomial.legendre.leggauss(n)
     return 0.5 * (x + 1.0), 0.5 * w
 
 
 def _jacobi_01(n, alpha):
-    # nodes/weights for weight (1-x)^alpha on [0,1]
-    x, w = roots_jacobi(n, alpha, 0.0)
-    return 0.5 * (x + 1.0), w / 2.0 ** (alpha + 1)
+    """Gauss nodes/weights for the weight (1-x)^alpha, alpha > 0, on [0,1].
+
+    Golub-Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues
+    of the Jacobi matrix of the Jacobi polynomials P^(alpha,0) on
+    [-1,1], mapped to [0,1]; each weight is the squared first component
+    of its eigenvector times int_0^1 (1-x)^alpha = 1/(alpha+1).
+    """
+    k = np.arange(n, dtype=float)
+    c = 2.0 * k + alpha
+    diag = -alpha**2 / (c * (c + 2.0))
+    k, c = k[1:], c[1:]
+    off = 2.0 * k * (k + alpha) / (c * np.sqrt(c * c - 1.0))
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return 0.5 * (x + 1.0), v[0] ** 2 / (alpha + 1.0)
 
 
 def quadrature_for(degree, dim=2) -> QuadratureRule:

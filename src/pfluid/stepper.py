@@ -57,7 +57,7 @@ class SolverOptions:
     max_picard: int = 200
     max_backtrack: int = 8
     picard_after_rejects: int = 3
-    jac_delta_floor: float = 1e-8
+    jac_delta_floor: float = 1e-8  # times min(1, max |sym Du|); see assemble_stress
     method: str = "newton"  # "newton" (with picard fallback) or "picard"
     quad_degree: int = 5
     data_degree: int = 5

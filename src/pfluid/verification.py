@@ -11,10 +11,10 @@ time-increment (Bochner) bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+import functools
 import io
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from . import assembly
 from .fespace import FESpace, element_pair
@@ -26,12 +26,14 @@ from .tables import report
 
 # -- manufactured solutions --------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ManufacturedSolution:
     """Closed-form exact solution on the unit square.
 
     All callables take (t, X) with X of shape (..., 2) and return
-    arrays with the trailing structure noted below.
+    arrays with the trailing structure noted below.  ``flow``, when
+    given, returns (u, dt_u, grad_u, hess_u) together, sharing the work
+    the four separate callables would repeat.
     """
 
     name: str
@@ -41,6 +43,13 @@ class ManufacturedSolution:
     dt_u: object     # (..., 2)
     q: object        # (...)
     grad_q: object   # (..., 2)
+    flow: object = None
+
+    def flow_fields(self, t, X):
+        """(u, dt_u, grad_u, hess_u) at (t, X)."""
+        if self.flow is not None:
+            return self.flow(t, X)
+        return self.u(t, X), self.dt_u(t, X), self.grad_u(t, X), self.hess_u(t, X)
 
 
 # alpha(t) and alpha'(t) of each time modulation
@@ -79,15 +88,44 @@ def _profile(X, order):
     return [d(S, w) for d in _PROFILE[:order + 1]]
 
 
-def _stream_velocity(X, scale):
+# the x and y entries of a profile array
+_X, _Y = (..., 0), (..., 1)
+
+
+def _stream_velocity(prof, scale):
     # scale * curl psi = scale * (a(x) a'(y), -a'(x) a(y))
-    a0, a1 = _profile(X, 1)
+    a0, a1 = prof[:2]
     out = a0 * a1[..., ::-1]
     out[..., 0] *= scale
     out[..., 1] *= -scale
     return out
 
 
+def _stream_gradient(prof, al):
+    a0, a1, a2 = prof[:3]
+    G = np.empty(a0.shape + (2,))
+    G[..., 0, 0] = al * a1[_X] * a1[_Y]
+    G[..., 0, 1] = al * a0[_X] * a2[_Y]
+    G[..., 1, 0] = -al * a2[_X] * a0[_Y]
+    G[..., 1, 1] = -G[..., 0, 0]
+    return G
+
+
+def _stream_hessian(prof, al):
+    a0, a1, a2, a3 = prof
+    cb = al * a2[_X] * a1[_Y]
+    bc = al * a1[_X] * a2[_Y]
+    H = np.empty(a0.shape + (2, 2))
+    H[..., 0, 0, 0] = cb
+    H[..., 0, 0, 1] = H[..., 0, 1, 0] = bc
+    H[..., 0, 1, 1] = al * a0[_X] * a3[_Y]
+    H[..., 1, 0, 0] = -al * a3[_X] * a0[_Y]
+    H[..., 1, 0, 1] = H[..., 1, 1, 0] = -cb
+    H[..., 1, 1, 1] = -bc
+    return H
+
+
+@functools.lru_cache(maxsize=None)
 def manufactured_default(alpha_kind="smooth-periodic") -> ManufacturedSolution:
     """Stream-function solution u = alpha(t) curl psi on the unit square.
 
@@ -95,48 +133,37 @@ def manufactured_default(alpha_kind="smooth-periodic") -> ManufacturedSolution:
     boundary, so the velocity (and the tangential part of its gradient)
     vanishes there; q = cos(2 pi t)(x^3 + y^3 - 1/2) has zero mean.
     alpha_kind chooses the time modulation.  Every field is a product of
-    a, a', a'', a''' and alpha or alpha'.
+    a, a', a'', a''' and alpha or alpha'; ``flow`` evaluates the profile
+    once for all four velocity fields.  The solution of each kind is
+    built once and shared, so ``forcing_from`` probes it once.
     """
     if alpha_kind not in _ALPHAS:
         raise ValueError(
             f"unknown alpha kind {alpha_kind!r}; available: {sorted(_ALPHAS)}"
         )
     alpha, dalpha = _ALPHAS[alpha_kind]
-    x, y = (..., 0), (..., 1)
 
     def u(t, X):
-        return _stream_velocity(X, alpha(t))
+        return _stream_velocity(_profile(X, 1), alpha(t))
 
     def dt_u(t, X):
-        return _stream_velocity(X, dalpha(t))
+        return _stream_velocity(_profile(X, 1), dalpha(t))
 
     def grad_u(t, X):
-        a0, a1, a2 = _profile(X, 2)
-        al = alpha(t)
-        G = np.empty(a0.shape + (2,))
-        G[..., 0, 0] = al * a1[x] * a1[y]
-        G[..., 0, 1] = al * a0[x] * a2[y]
-        G[..., 1, 0] = -al * a2[x] * a0[y]
-        G[..., 1, 1] = -G[..., 0, 0]
-        return G
+        return _stream_gradient(_profile(X, 2), alpha(t))
 
     def hess_u(t, X):
-        a0, a1, a2, a3 = _profile(X, 3)
+        return _stream_hessian(_profile(X, 3), alpha(t))
+
+    def flow(t, X):
+        prof = _profile(X, 3)
         al = alpha(t)
-        cb = al * a2[x] * a1[y]
-        bc = al * a1[x] * a2[y]
-        H = np.empty(a0.shape + (2, 2))
-        H[..., 0, 0, 0] = cb
-        H[..., 0, 0, 1] = H[..., 0, 1, 0] = bc
-        H[..., 0, 1, 1] = al * a0[x] * a3[y]
-        H[..., 1, 0, 0] = -al * a3[x] * a0[y]
-        H[..., 1, 0, 1] = H[..., 1, 1, 0] = -cb
-        H[..., 1, 1, 1] = -bc
-        return H
+        return (_stream_velocity(prof, al), _stream_velocity(prof, dalpha(t)),
+                _stream_gradient(prof, al), _stream_hessian(prof, al))
 
     def q(t, X):
         X = np.asarray(X, dtype=float)
-        return np.cos(2.0 * np.pi * t) * (X[x] ** 3 + X[y] ** 3 - 0.5)
+        return np.cos(2.0 * np.pi * t) * (X[_X] ** 3 + X[_Y] ** 3 - 0.5)
 
     def grad_q(t, X):
         X = np.asarray(X, dtype=float)
@@ -144,7 +171,7 @@ def manufactured_default(alpha_kind="smooth-periodic") -> ManufacturedSolution:
 
     return ManufacturedSolution(
         name=alpha_kind, u=u, grad_u=grad_u, hess_u=hess_u, dt_u=dt_u, q=q,
-        grad_q=grad_q,
+        grad_q=grad_q, flow=flow,
     )
 
 
@@ -161,34 +188,48 @@ def forcing_from(ms: ManufacturedSolution, model: StressModel):
     singular where Du vanishes.  The default solution family degenerates
     only at isolated points (the domain center and corners), which the
     default quadrature rules avoid; that is asserted here by probing the
-    physical quadrature points of representative meshes.  The hard guard
-    remains the DegenerateGradientError raised at evaluation time.
+    physical quadrature points of representative meshes, once per
+    ``grad_u`` callable.  The hard guard remains the
+    DegenerateGradientError raised at evaluation time.
     """
     def f(t, X):
         X = np.asarray(X, dtype=float)
-        G = ms.grad_u(t, X)
-        H = ms.hess_u(t, X)
+        u, dt_u, G, H = ms.flow_fields(t, X)
         A, g, radial = model.jacobian_factors(G)
         dA = 0.5 * (H + np.swapaxes(H, -3, -2))  # d_j (sym grad u)_kl at [k,l,j]
         AdA = np.einsum("...kl,...klj->...j", A, dA)
         divS = (g[..., None] * np.einsum("...ijj->...i", dA)
                 + radial[..., None] * np.einsum("...ij,...j->...i", A, AdA))
-        conv = np.einsum("...il,...l->...i", G, ms.u(t, X))
-        return ms.dt_u(t, X) + conv + ms.grad_q(t, X) - divS
+        conv = np.einsum("...il,...l->...i", G, u)
+        return dt_u + conv + ms.grad_q(t, X) - divS
 
-    if model.delta == 0.0:
-        for n in (4, 8, 16, 32):
-            probe = FESpace(unit_square_mesh(n), "P1")
-            for deg in (5, 7):
-                X = probe.tabulation(deg)[3].reshape(-1, 2)
-                for tt in (0.0, 0.3, 0.7):
-                    A = sym_part(ms.grad_u(tt, X))
-                    if np.min(tensor_norm(A)) < 1e-10:
-                        raise ValueError(
-                            "delta=0 forcing degenerates at a default "
-                            "quadrature point; use a regularized model"
-                        )
+    if model.delta == 0.0 and _degenerates_at_probe(ms.grad_u):
+        raise ValueError(
+            "delta=0 forcing degenerates at a default "
+            "quadrature point; use a regularized model"
+        )
     return f
+
+
+@functools.lru_cache(maxsize=None)
+def _probe_points():
+    """Physical quadrature points of degrees 5 and 7 on the n = 4..32
+    meshes, read-only since every call shares them."""
+    X = np.concatenate([
+        FESpace(unit_square_mesh(n), "P1").tabulation(deg)[3].reshape(-1, 2)
+        for n in (4, 8, 16, 32) for deg in (5, 7)
+    ])
+    X.flags.writeable = False
+    return X
+
+
+@functools.lru_cache(maxsize=32)
+def _degenerates_at_probe(grad_u):
+    """Whether |sym grad_u| falls below 1e-10 at a probe point at
+    t = 0, 0.3 or 0.7."""
+    X = _probe_points()
+    return any(np.min(tensor_norm(sym_part(grad_u(tt, X)))) < 1e-10
+               for tt in (0.0, 0.3, 0.7))
 
 
 # -- error quantities --------------------------------------------------
@@ -394,15 +435,15 @@ def convergence_study(config: StudyConfig) -> StudyResult:
     Coupled mode asserts the compatibility h^(4/p') <= sigma0*kappa by
     reporting the monitor column; the step count at each level is
     M = round(T / (sigma h)) so kappa = T/M matches sigma*h up to
-    rounding.  delta = 0 switches the nonlinear solver to its secant
-    path, which tolerates the degenerate weight.
+    rounding.  Every delta >= 0 uses ``config.method`` (Newton by
+    default); at delta = 0 the linearizations floor the degenerate
+    weight relative to the iterate (``assembly.assemble_stress``).
     """
     ms = manufactured_default(config.manufactured)
     model = StressModel(config.p, config.delta)
     f = forcing_from(ms, model)
-    method = "picard" if config.delta == 0.0 else config.method
     opts = SolverOptions(
-        tol=config.tol, method=method, quad_degree=config.quad_flow,
+        tol=config.tol, method=config.method, quad_degree=config.quad_flow,
         data_degree=config.quad_flow,
     )
 
@@ -644,7 +685,7 @@ def bochner_check(f, dt_f, grid: TimeGrid, norm_x=None, tau="right",
         norm_x = np.linalg.norm
     if n_quad < 64:
         raise ValueError("need at least 64 quadrature points per interval")
-    xi, wq = roots_legendre(n_quad)
+    xi, wq = np.polynomial.legendre.leggauss(n_quad)
     times = grid.times()
     k = grid.kappa
     pick = {"right": lambda t0, t1: t1, "left": lambda t0, t1: t0,

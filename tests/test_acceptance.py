@@ -2,9 +2,9 @@
 
 Each test covers one advertised guarantee of the package, prints a
 single PASS/FAIL verdict line (run with -s to see them live), and
-asserts the stated tolerance.  The three coupled convergence studies
-are computed once and shared between the rate check and the Gronwall
-harvest.
+asserts the stated tolerance.  The five coupled convergence studies
+(two of them at delta = 0) are computed once and shared between the
+rate check and the Gronwall harvest.
 """
 
 import time
@@ -31,7 +31,7 @@ from pfluid.verification import (
     weak_residual_check,
 )
 
-COUPLED_MODELS = ((2.0, 1.0), (1.8, 0.1), (1.7, 0.05))
+COUPLED_MODELS = ((2.0, 1.0), (1.8, 0.1), (1.7, 0.05), (1.8, 0.0), (1.65, 0.0))
 
 
 def verdict(ok, label, detail):
@@ -136,7 +136,8 @@ def test_coupled_space_time_rates(coupled_studies):
         ratios = [r.record.ratio() for r in res.rows]
         drift = max(ratios) / min(ratios)
         ok &= 0.85 <= eoc <= 2.2 and drift <= 3.0
-        details.append(f"p={p}: eoc_F {eoc:.3f}, ratio drift x{drift:.2f}")
+        details.append(f"p={p} delta={d}: eoc_F {eoc:.3f}, "
+                       f"ratio drift x{drift:.2f}")
     elapsed = fixture_time + time.perf_counter() - t0
     ok &= elapsed < 600.0
     verdict(ok, "coupled space-time convergence",
@@ -181,6 +182,34 @@ def test_unforced_energy_stability():
     verdict(ok, "unforced decay and energy bound",
             f"max norm increase {worst_increase:.2e}, energy at "
             f"{100 * worst_excess:.0f}% of the data bound, {elapsed:.0f}s")
+
+
+def test_unforced_degenerate_rest():
+    """At delta = 0 an unforced flow reaches rest in finite time; every
+    step must still converge and the norm must never grow."""
+    t0 = time.perf_counter()
+    ms = manufactured_default()
+    vel, pre = element_pair("MINI")
+    mesh = unit_square_mesh(8)
+    vs = FESpace(mesh, vel, n_components=2)
+    qs = FESpace(mesh, pre)
+    converged = True
+    worst_increase = -np.inf
+    worst_rest = 0.0
+    for p in (1.3, 1.8):
+        traj = run_simulation(vs, qs, StressModel(p, 0.0), TimeGrid(2.0, 64),
+                              lambda X: ms.u(0.0, X))
+        converged &= all(d.converged for d in traj.diagnostics)
+        norms = traj.l2_norms()
+        worst_increase = max(worst_increase, float(np.max(np.diff(norms))))
+        worst_rest = max(worst_rest, norms[-1] / norms[0])
+    elapsed = time.perf_counter() - t0
+    ok = (converged and worst_increase <= 1e-12 and worst_rest <= 1e-12
+          and elapsed < 60.0)
+    verdict(ok, "unforced delta=0 flow comes to rest",
+            f"all steps converged {converged}, max norm increase "
+            f"{worst_increase:.2e}, final/initial norm {worst_rest:.2e}, "
+            f"{elapsed:.0f}s")
 
 
 def test_gronwall_checker_suite(coupled_studies):
@@ -231,9 +260,9 @@ def test_bochner_increment_bound():
             + f", {elapsed:.1f}s")
 
 
-def test_solver_path_agreement():
-    t0 = time.perf_counter()
-    model = StressModel(1.6, 0.05)
+def solver_path_disagreement(model):
+    """Worst relative difference between Newton steps, Picard steps and
+    Newton steps from a zero start, over 5 random steps of a run."""
     ms = manufactured_default()
     f = forcing_from(ms, model)
     vel, pre = element_pair("MINI")
@@ -262,8 +291,26 @@ def test_solver_path_agreement():
         worst = max(worst,
                     np.linalg.norm(U_p - U_n) / scale,
                     np.linalg.norm(U_c - U_n) / scale)
+    return worst
+
+
+def test_solver_path_agreement():
+    t0 = time.perf_counter()
+    worst = solver_path_disagreement(StressModel(1.6, 0.05))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and elapsed < 60.0
     verdict(ok, "solver path agreement",
+            f"worst pairwise step difference {worst:.2e} over 5 random "
+            f"steps, {elapsed:.0f}s")
+
+
+def test_solver_path_agreement_degenerate():
+    """At delta = 0 both linearizations share the floor rule and must
+    still converge to the same root, also from a zero start."""
+    t0 = time.perf_counter()
+    worst = solver_path_disagreement(StressModel(1.8, 0.0))
+    elapsed = time.perf_counter() - t0
+    ok = worst <= 1e-8 and elapsed < 60.0
+    verdict(ok, "solver path agreement at delta=0",
             f"worst pairwise step difference {worst:.2e} over 5 random "
             f"steps, {elapsed:.0f}s")

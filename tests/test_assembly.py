@@ -554,6 +554,41 @@ def test_stress_operator_matches_reference(pair, jacobian, p, delta):
                    global_matrix(vs, ref).toarray()) < 1e-13
 
 
+@pytest.mark.parametrize("jacobian", ["newton", "picard"])
+@pytest.mark.parametrize("scale", [1e-6, 0.0])
+def test_stress_operator_floor_scales_with_iterate(jacobian, scale):
+    """Below max |sym Du| = 1 the floor is 1e-8 max |sym Du|; a zero
+    iterate keeps the absolute 1e-8."""
+    vs, _ = mini_spaces(4)
+    c = scale * np.random.default_rng(7).standard_normal(vs.n_dofs)
+    model = StressModel(1.5, 0.0)
+    A = 0.5 * (ref_grad(vs, c, 5) + np.swapaxes(ref_grad(vs, c, 5), -1, -2))
+    tmax = np.sqrt(np.sum(A * A, axis=(-1, -2))).max()
+    assert tmax < 1.0
+    floor = 1e-8 * tmax if tmax > 0.0 else 1e-8
+    _, local = assemble_stress(vs, c, model, jacobian=jacobian)
+    assert np.all(np.isfinite(local))
+    assert rel_err(local, ref_stress_local(vs, c, model, jacobian, floor=floor)) < 1e-13
+
+
+@pytest.mark.parametrize("p", [1.3, 1.8])
+@pytest.mark.parametrize("scale", [1.0, 1e-4, 1e-9, 1e-12])
+def test_degenerate_linearizations_stay_exact_as_flow_vanishes(p, scale):
+    """At delta = 0 the stress is homogeneous of degree p-1, so by Euler
+    the Newton operator maps u to (p-1) times the stress residual and
+    the Picard operator maps u to the residual.  The floor scales with
+    the iterate, so both identities hold at every field size; a fixed
+    floor of 1e-8 breaks them once |sym Du| nears it."""
+    vs, _ = mini_spaces(4)
+    c = scale * np.random.default_rng(3).standard_normal(vs.n_dofs)
+    model = StressModel(p, 0.0)
+    r, _ = assemble_stress(vs, c, model, jacobian=None)
+    Kn = stress_matrix(vs, c, model, "newton")
+    Kp = stress_matrix(vs, c, model, "picard")
+    assert rel_err(Kn @ c, (p - 1.0) * r) < 1e-7
+    assert rel_err(Kp @ c, r) < 1e-13
+
+
 @pytest.mark.parametrize("pair", ["MINI", "TH"])
 def test_convection_matches_reference(pair):
     vs, _ = spaces(pair, 4)

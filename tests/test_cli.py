@@ -179,6 +179,22 @@ def test_simulate_zero_data(tmp_path):
     assert "resolved config" in (out / "report.txt").read_text()
 
 
+def test_simulate_unforced_degenerate_exits_zero(tmp_path):
+    """delta = 0 without forcing: the run exits 0 (every step converges
+    while the flow comes to rest) and the energy never grows."""
+    doc = {"command": "simulate", "model": {"p": 1.8, "delta": 0.0},
+           "discretization": {"element": "MINI", "n": 8, "T": 0.5, "M": 64},
+           "forcing": "zero"}
+    out = tmp_path / "out"
+    assert main(["--config", write_config(tmp_path, doc),
+                 "--output", str(out)]) == 0
+    lines = (out / "trajectory.csv").read_text().strip().split("\n")
+    assert len(lines) == 1 + 65
+    energy = np.array([float(line.split(",")[2]) for line in lines[1:]])
+    assert energy[-1] > 0.0
+    assert np.all(np.diff(energy) <= 1e-12 * energy[0])
+
+
 def test_output_dir_from_config(tmp_path):
     doc = simulate_doc(output=str(tmp_path / "fromcfg"))
     assert main(["--config", write_config(tmp_path, doc)]) == 0

@@ -37,6 +37,27 @@ def test_quadrature_exact_on_monomials(degree):
             assert abs(val - reference_monomial_integral(a, b)) < 1e-14
 
 
+def test_gauss_rules_match_scipy_special():
+    """numpy's Gauss-Legendre and the Golub-Welsch Gauss-Jacobi rules
+    agree with scipy.special to 1e-14."""
+    special = pytest.importorskip("scipy.special")
+    from pfluid.fespace import _gauss_01, _jacobi_01
+
+    for n in range(1, 13):
+        x, w = special.roots_legendre(n)
+        X, W = _gauss_01(n)
+        assert np.abs(X - 0.5 * (x + 1.0)).max() < 1e-14
+        assert np.abs(W - 0.5 * w).max() < 1e-14
+        for alpha in (1.0, 2.0):
+            x, w = special.roots_jacobi(n, alpha, 0.0)
+            X, W = _jacobi_01(n, alpha)
+            assert np.abs(X - 0.5 * (x + 1.0)).max() < 1e-14
+            assert np.abs(W - w / 2.0 ** (alpha + 1)).max() < 1e-14
+    x, w = special.roots_legendre(64)
+    X, W = np.polynomial.legendre.leggauss(64)
+    assert np.abs(X - x).max() < 1e-14 and np.abs(W - w).max() < 1e-14
+
+
 def test_quadrature_hand_values():
     rule = quadrature_for(5)
     assert abs(np.sum(rule.points[:, 1] ** 2 * rule.points[:, 2] * rule.weights)

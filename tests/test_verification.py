@@ -166,18 +166,29 @@ def test_manufactured_matches_symbolic_reference(kind):
 
 
 def test_manufactured_needs_no_sympy():
-    """The solver path never imports sympy, not even transitively."""
+    """The solver path never imports sympy, not even transitively, and
+    takes its Gauss rules from numpy rather than scipy.special."""
     code = (
         "import sys\n"
         "import numpy as np\n"
         "import pfluid.cli\n"
+        "from pfluid.fespace import FESpace, element_pair\n"
+        "from pfluid.mesh import unit_square_mesh\n"
         "from pfluid.pstructure import StressModel\n"
+        "from pfluid.stepper import TimeGrid, run_simulation\n"
         "from pfluid.verification import forcing_from, manufactured_default\n"
         "X = np.array([[0.3, 0.6], [0.7, 0.2]])\n"
         "for kind in ('smooth-periodic', 'time-dominant'):\n"
         "    ms = manufactured_default(kind)\n"
         "    forcing_from(ms, StressModel(1.8, 0.1))(0.3, X)\n"
+        "vel, pre = element_pair('MINI')\n"
+        "mesh = unit_square_mesh(2)\n"
+        "f = forcing_from(ms, StressModel(1.8, 0.0))\n"
+        "run_simulation(FESpace(mesh, vel, n_components=2), FESpace(mesh, pre),\n"
+        "               StressModel(1.8, 0.0), TimeGrid(0.1, 1),\n"
+        "               lambda X: ms.u(0.0, X), f)\n"
         "assert 'sympy' not in sys.modules\n"
+        "assert 'scipy.special' not in sys.modules\n"
     )
     src = str(Path(pfluid.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -247,6 +258,22 @@ def test_forcing_raises_where_du_vanishes(ms):
     f = forcing_from(ms, StressModel(1.5, 0.0))
     with pytest.raises(DegenerateGradientError):
         f(0.0, np.array([[0.5, 0.5]]))
+
+
+def test_manufactured_default_is_shared_and_flow_matches():
+    """Each kind is built once; the joint evaluation equals the four
+    separate callables exactly."""
+    assert manufactured_default("smooth-periodic") is \
+        manufactured_default("smooth-periodic")
+    X = interior_points(np.random.default_rng(9), 50)
+    for kind in KINDS:
+        sol = manufactured_default(kind)
+        for t in (0.0, 0.41):
+            joint = sol.flow_fields(t, X)
+            apart = (sol.u(t, X), sol.dt_u(t, X), sol.grad_u(t, X),
+                     sol.hess_u(t, X))
+            for a, b in zip(joint, apart):
+                np.testing.assert_array_equal(a, b)
 
 
 def test_forcing_degenerate_guard(ms):
