@@ -11,13 +11,12 @@ time-increment (Bochner) bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-import functools
 import io
 
 import numpy as np
 
 from . import assembly
-from .fespace import FESpace, element_pair
+from .fespace import FESpace, element_pair, quadrature_for
 from .mesh import unit_square_mesh
 from .pstructure import StressModel, _safe_pow, sym_part, tensor_norm
 from .stepper import SolverOptions, TimeGrid, Trajectory, run_simulation
@@ -26,14 +25,14 @@ from .tables import report
 
 # -- manufactured solutions --------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass
 class ManufacturedSolution:
     """Closed-form exact solution on the unit square.
 
     All callables take (t, X) with X of shape (..., 2) and return
-    arrays with the trailing structure noted below.  ``flow``, when
-    given, returns (u, dt_u, grad_u, hess_u) together, sharing the work
-    the four separate callables would repeat.
+    arrays with the trailing structure noted below.  ``flow`` returns
+    (u, dt_u, grad_u, hess_u) together, sharing the work the four
+    separate callables would repeat.
     """
 
     name: str
@@ -43,13 +42,7 @@ class ManufacturedSolution:
     dt_u: object     # (..., 2)
     q: object        # (...)
     grad_q: object   # (..., 2)
-    flow: object = None
-
-    def flow_fields(self, t, X):
-        """(u, dt_u, grad_u, hess_u) at (t, X)."""
-        if self.flow is not None:
-            return self.flow(t, X)
-        return self.u(t, X), self.dt_u(t, X), self.grad_u(t, X), self.hess_u(t, X)
+    flow: object     # (t, X) -> (u, dt_u, grad_u, hess_u)
 
 
 # alpha(t) and alpha'(t) of each time modulation
@@ -125,7 +118,6 @@ def _stream_hessian(prof, al):
     return H
 
 
-@functools.lru_cache(maxsize=None)
 def manufactured_default(alpha_kind="smooth-periodic") -> ManufacturedSolution:
     """Stream-function solution u = alpha(t) curl psi on the unit square.
 
@@ -134,8 +126,7 @@ def manufactured_default(alpha_kind="smooth-periodic") -> ManufacturedSolution:
     vanishes there; q = cos(2 pi t)(x^3 + y^3 - 1/2) has zero mean.
     alpha_kind chooses the time modulation.  Every field is a product of
     a, a', a'', a''' and alpha or alpha'; ``flow`` evaluates the profile
-    once for all four velocity fields.  The solution of each kind is
-    built once and shared, so ``forcing_from`` probes it once.
+    once for all four velocity fields.
     """
     if alpha_kind not in _ALPHAS:
         raise ValueError(
@@ -188,13 +179,12 @@ def forcing_from(ms: ManufacturedSolution, model: StressModel):
     singular where Du vanishes.  The default solution family degenerates
     only at isolated points (the domain center and corners), which the
     default quadrature rules avoid; that is asserted here by probing the
-    physical quadrature points of representative meshes, once per
-    ``grad_u`` callable.  The hard guard remains the
-    DegenerateGradientError raised at evaluation time.
+    physical quadrature points of representative meshes.  The hard guard
+    remains the DegenerateGradientError raised at evaluation time.
     """
     def f(t, X):
         X = np.asarray(X, dtype=float)
-        u, dt_u, G, H = ms.flow_fields(t, X)
+        u, dt_u, G, H = ms.flow(t, X)
         A, g, radial = model.jacobian_factors(G)
         dA = 0.5 * (H + np.swapaxes(H, -3, -2))  # d_j (sym grad u)_kl at [k,l,j]
         AdA = np.einsum("...kl,...klj->...j", A, dA)
@@ -211,23 +201,17 @@ def forcing_from(ms: ManufacturedSolution, model: StressModel):
     return f
 
 
-@functools.lru_cache(maxsize=None)
-def _probe_points():
-    """Physical quadrature points of degrees 5 and 7 on the n = 4..32
-    meshes, read-only since every call shares them."""
-    X = np.concatenate([
-        FESpace(unit_square_mesh(n), "P1").tabulation(deg)[3].reshape(-1, 2)
-        for n in (4, 8, 16, 32) for deg in (5, 7)
-    ])
-    X.flags.writeable = False
-    return X
-
-
-@functools.lru_cache(maxsize=32)
 def _degenerates_at_probe(grad_u):
-    """Whether |sym grad_u| falls below 1e-10 at a probe point at
-    t = 0, 0.3 or 0.7."""
-    X = _probe_points()
+    """Whether |sym grad_u| falls below 1e-10 at t = 0, 0.3 or 0.7 at a
+    physical quadrature point of degree 5 or 7 on the n = 4..32 meshes."""
+    pts = []
+    for n in (4, 8, 16, 32):
+        mesh = unit_square_mesh(n)
+        cell_X = mesh.vertices[mesh.cells]
+        for deg in (5, 7):
+            xq = np.einsum("qk,ckl->cql", quadrature_for(deg).points, cell_X)
+            pts.append(xq.reshape(-1, 2))
+    X = np.concatenate(pts)
     return any(np.min(tensor_norm(sym_part(grad_u(tt, X)))) < 1e-10
                for tt in (0.0, 0.3, 0.7))
 
@@ -342,7 +326,6 @@ class StudyConfig:
     quad_flow: int = 5
     quad_error: int = 7
     tol: float = 1e-10
-    method: str = "newton"
 
     def __post_init__(self):
         if self.mode not in ("coupled", "temporal"):
@@ -435,15 +418,16 @@ def convergence_study(config: StudyConfig) -> StudyResult:
     Coupled mode asserts the compatibility h^(4/p') <= sigma0*kappa by
     reporting the monitor column; the step count at each level is
     M = round(T / (sigma h)) so kappa = T/M matches sigma*h up to
-    rounding.  Every delta >= 0 uses ``config.method`` (Newton by
-    default); at delta = 0 the linearizations floor the degenerate
-    weight relative to the iterate (``assembly.assemble_stress``).
+    rounding.  Every delta >= 0 runs the default solver (Newton with the
+    Picard fallback); at delta = 0 the linearizations floor the
+    degenerate weight relative to the iterate
+    (``assembly.assemble_stress``).
     """
     ms = manufactured_default(config.manufactured)
     model = StressModel(config.p, config.delta)
     f = forcing_from(ms, model)
     opts = SolverOptions(
-        tol=config.tol, method=config.method, quad_degree=config.quad_flow,
+        tol=config.tol, quad_degree=config.quad_flow,
         data_degree=config.quad_flow,
     )
 

@@ -416,18 +416,20 @@ def ref_residual(vs, c, model, degree=5):
     return out
 
 
-def ref_stress_local(vs, c, model, jacobian, degree=5, floor=1e-8):
+def ref_stress_local(vs, c, model, jacobian, degree=5):
     grad = ref_grad(vs, c, degree)
     _, _, gphys, _ = vs.tabulation(degree)
     wd = ref_weights(vs, degree)
     nc, _, nloc, d = gphys.shape
+    A = 0.5 * (grad + np.swapaxes(grad, -1, -2))
+    t = np.sqrt(np.sum(A * A, axis=(-1, -2)))
+    # shift floor 1e-8 min(1, max |sym Du|); 1e-8 itself at a zero iterate
+    floor = 1e-8 * min(1.0, t.max()) if t.max() > 0.0 else 1e-8
     if jacobian == "newton":
         jmodel = model if model.delta >= floor else StressModel(model.p, floor)
         J4 = jmodel.stress_jacobian(grad)
         local = np.einsum("cq,cqsltm,cqal,cqbm->csatb", wd, J4, gphys, gphys)
     else:
-        A = 0.5 * (grad + np.swapaxes(grad, -1, -2))
-        t = np.sqrt(np.sum(A * A, axis=(-1, -2)))
         wg = wd * np.maximum(model.delta + t, floor) ** (model.p - 2.0)
         term1 = np.einsum("cq,cqal,cqbl->cab", wg, gphys, gphys)
         local = 0.5 * np.einsum("cq,cqaj,cqbi->ciajb", wg, gphys, gphys)
@@ -538,37 +540,29 @@ def test_local_matvec_matches_global_matrix(pair):
     assert rel_err(local_matvec(vs, N, U), global_matrix(vs, N) @ U) < 1e-13
 
 
-OPERATOR_CASES = [("newton", 1.7, 0.1), ("newton", 1.5, 0.0), ("picard", 1.6, 0.1)]
+OPERATOR_CASES = [
+    pytest.param("newton", 1.7, 0.1, 0.5, id="newton-1.7-0.1"),
+    pytest.param("newton", 1.5, 0.0, 0.5, id="newton-1.5-0.0"),
+    pytest.param("picard", 1.6, 0.1, 0.5, id="picard-1.6-0.1"),
+    # below max |sym Du| = 1 the delta = 0 floor shrinks with the iterate
+    pytest.param("newton", 1.5, 0.0, 1e-6, id="newton-1.5-0.0-small"),
+    pytest.param("picard", 1.5, 0.0, 1e-6, id="picard-1.5-0.0-small"),
+    pytest.param("newton", 1.5, 0.0, 0.0, id="newton-1.5-0.0-zero"),
+    pytest.param("picard", 1.5, 0.0, 0.0, id="picard-1.5-0.0-zero"),
+]
 
 
 @pytest.mark.parametrize("pair", ["MINI", "TH"])
-@pytest.mark.parametrize("jacobian,p,delta", OPERATOR_CASES)
-def test_stress_operator_matches_reference(pair, jacobian, p, delta):
+@pytest.mark.parametrize("jacobian,p,delta,scale", OPERATOR_CASES)
+def test_stress_operator_matches_reference(pair, jacobian, p, delta, scale):
     vs, _ = spaces(pair, 4)
-    c = 0.5 * np.random.default_rng(7).standard_normal(vs.n_dofs)
+    c = scale * np.random.default_rng(7).standard_normal(vs.n_dofs)
     model = StressModel(p, delta)
     _, local = assemble_stress(vs, c, model, jacobian=jacobian)
     ref = ref_stress_local(vs, c, model, jacobian)
     assert rel_err(local, ref) < 1e-13
     assert rel_err(global_matrix(vs, local).toarray(),
                    global_matrix(vs, ref).toarray()) < 1e-13
-
-
-@pytest.mark.parametrize("jacobian", ["newton", "picard"])
-@pytest.mark.parametrize("scale", [1e-6, 0.0])
-def test_stress_operator_floor_scales_with_iterate(jacobian, scale):
-    """Below max |sym Du| = 1 the floor is 1e-8 max |sym Du|; a zero
-    iterate keeps the absolute 1e-8."""
-    vs, _ = mini_spaces(4)
-    c = scale * np.random.default_rng(7).standard_normal(vs.n_dofs)
-    model = StressModel(1.5, 0.0)
-    A = 0.5 * (ref_grad(vs, c, 5) + np.swapaxes(ref_grad(vs, c, 5), -1, -2))
-    tmax = np.sqrt(np.sum(A * A, axis=(-1, -2))).max()
-    assert tmax < 1.0
-    floor = 1e-8 * tmax if tmax > 0.0 else 1e-8
-    _, local = assemble_stress(vs, c, model, jacobian=jacobian)
-    assert np.all(np.isfinite(local))
-    assert rel_err(local, ref_stress_local(vs, c, model, jacobian, floor=floor)) < 1e-13
 
 
 @pytest.mark.parametrize("p", [1.3, 1.8])

@@ -260,16 +260,13 @@ def test_forcing_raises_where_du_vanishes(ms):
         f(0.0, np.array([[0.5, 0.5]]))
 
 
-def test_manufactured_default_is_shared_and_flow_matches():
-    """Each kind is built once; the joint evaluation equals the four
-    separate callables exactly."""
-    assert manufactured_default("smooth-periodic") is \
-        manufactured_default("smooth-periodic")
+def test_manufactured_flow_matches_separate_fields():
+    """The joint evaluation equals the four separate callables exactly."""
     X = interior_points(np.random.default_rng(9), 50)
     for kind in KINDS:
         sol = manufactured_default(kind)
         for t in (0.0, 0.41):
-            joint = sol.flow_fields(t, X)
+            joint = sol.flow(t, X)
             apart = (sol.u(t, X), sol.dt_u(t, X), sol.grad_u(t, X),
                      sol.hess_u(t, X))
             for a, b in zip(joint, apart):
@@ -281,14 +278,19 @@ def test_forcing_degenerate_guard(ms):
     # gradients put a zero at every quadrature point and must be refused
     forcing_from(ms, StressModel(1.5, 0.0))
     rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    bad = ManufacturedSolution(
-        name="rigid-rotation",
+    fields = dict(
         u=lambda t, X: np.stack([X[..., 1], -X[..., 0]], axis=-1),
         grad_u=lambda t, X: np.broadcast_to(rot, X.shape[:-1] + (2, 2)),
         hess_u=lambda t, X: np.zeros(X.shape[:-1] + (2, 2, 2)),
         dt_u=lambda t, X: np.zeros(X.shape[:-1] + (2,)),
+    )
+    bad = ManufacturedSolution(
+        name="rigid-rotation",
         q=lambda t, X: np.zeros(X.shape[:-1]),
         grad_q=lambda t, X: np.zeros(X.shape[:-1] + (2,)),
+        flow=lambda t, X: tuple(fields[k](t, X)
+                                for k in ("u", "dt_u", "grad_u", "hess_u")),
+        **fields,
     )
     with pytest.raises(ValueError, match="degenerate"):
         forcing_from(bad, StressModel(1.5, 0.0))
