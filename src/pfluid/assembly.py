@@ -43,23 +43,24 @@ identity.  Pressure is fixed only up to a constant, so pressure dof
 ``PINNED`` is pinned: its row and column become a unit diagonal with
 rhs 0, which drops one equation of B u = g.  That equation is redundant
 exactly when sum(g) = 0, since the rows of B sum to (div u, 1) = 0 for
-boundary-vanishing u.  Every caller meets this: Picard passes g = 0,
-Newton passes -B U with U zero on the boundary, and the projection
-passes (div u0, psi) for a boundary-vanishing u0.  After the solve q is
-shifted by a constant to zero mean, w @ q = 0 with w the pressure-basis
-means, which leaves the momentum equations unchanged.
+boundary-vanishing u.  Every caller meets this: Picard and the initial
+projection pass g = 0, and Newton passes -B U with U zero on the
+boundary.  After the solve q is shifted by a constant to zero mean,
+w @ q = 0 with w the pressure-basis means, which leaves the momentum
+equations unchanged.
 
 ``SaddleSystem`` builds the CSC pattern of this matrix once, with a
 scatter map for each source of A-block entries, so refilling the matrix
 is one ``np.bincount`` per source.  The pattern is stored in a
 minimum-degree order of the structure of K + K^T (K the whole matrix),
 computed once per pattern by a factorization with a dominant diagonal.
-Its ``solve`` is the one factor-and-solve routine: Newton and Picard
-iterations and ``solve_saddle`` all use it.  It factors in the stored
-order with static (diagonal) pivoting, checks that the solution is
-finite and that ||K x - b|| <= ``RESIDUAL_TOL`` ||b||, and otherwise
-refactors the same matrix with COLAMD and partial pivoting, logging a
-WARNING; LinearSolveError is raised when that check fails too.  Every
+Its ``solve`` is the one factor-and-solve routine: the Newton and
+Picard iterations and the initial projection (``stepper``) all use it,
+on the one system a run builds.  It factors in the stored order with
+static (diagonal) pivoting, checks that the solution is finite and that
+||K x - b|| <= ``RESIDUAL_TOL`` ||b||, and otherwise refactors the same
+matrix with COLAMD and partial pivoting, logging a WARNING;
+LinearSolveError is raised when that check fails too.  Every
 factorization goes through the module attribute ``splu``.
 """
 
@@ -250,7 +251,7 @@ def assemble_stress(v_space, coeffs, model: StressModel, degree=5, jacobian="new
         if model.delta < jac_delta_floor:
             floor = _shift_floor(tensor_norm(sym_part(grad)), jac_delta_floor)
             if model.delta < floor:
-                jmodel = StressModel(model.p, floor, model.dim)
+                jmodel = StressModel(model.p, floor)
         A, g, radial = jmodel.jacobian_factors(grad)
         local = _sym_gradient_local(wd * g, gphys).reshape(nc, d * nloc, d * nloc)
         v = np.matmul(A, np.swapaxes(gphys, 2, 3)).reshape(nc, nq, d * nloc)
@@ -424,17 +425,3 @@ def _factor_solve(K, b, **options):
         return y, np.nan
     bnorm = max(np.linalg.norm(b), np.finfo(float).tiny)
     return y, np.linalg.norm(K @ y - b) / bnorm
-
-
-def solve_saddle(A, B, w, rhs_u, rhs_q, bdofs):
-    """Factor and solve one pinned saddle system (see ``SaddleSystem``).
-
-    Pinning drops one row of B u = rhs_q, which is redundant only when
-    sum(rhs_q) = 0, as for rhs_q = (div u0, psi) with u0 vanishing on
-    the boundary.  Returns (u, q) with w @ q = 0; raises
-    LinearSolveError when no factorization gives an accurate solution.
-    """
-    A = sparse.coo_matrix(A)
-    sys = SaddleSystem([(A.row, A.col)], B, w, bdofs)
-    x = sys.solve(sys.base + sys.scatter(0, A.data), sys.rhs(rhs_u, rhs_q))
-    return sys.split(x)

@@ -275,7 +275,7 @@ def _run_simulate(cfg: RunConfig, outdir: Path) -> int:
     V = FESpace(mesh, ev, n_components=2)
     Q = FESpace(mesh, eq, n_components=1)
     grid = TimeGrid(cfg.t_end, cfg.n_steps)
-    opts = SolverOptions(quad_degree=cfg.quad_flow, data_degree=cfg.quad_flow)
+    opts = SolverOptions(quad_degree=cfg.quad_flow)
     if cfg.manufactured is None:
         u0 = lambda X: np.zeros_like(np.asarray(X, dtype=float))
         f = None

@@ -1,9 +1,9 @@
-"""Conforming finite element spaces on simplicial meshes.
+"""Conforming finite element spaces on triangulations.
 
 Provides quadrature rules (conical product construction with
 nonnegative weights), the velocity/pressure element zoo (P1, P2,
-P1+bubble, P0), scalar and vector dof maps, nodal interpolation and the
-divergence-preserving projection used for initial data.
+P1+bubble, P0), scalar and vector dof maps and nodal interpolation.
+Everything is two-dimensional.
 
 Scalar dofs are numbered vertices first, then edges, then cells; a
 vector field with k components stores component i in the contiguous
@@ -22,13 +22,13 @@ import numpy as np
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Quadrature on the reference simplex in barycentric coordinates.
+    """Quadrature on the reference triangle in barycentric coordinates.
 
-    Weights sum to the reference volume (1/2 in 2D, 1/6 in 3D) so that
-    the integral over a physical cell is |det J| * sum(w_q f(x_q)).
+    Weights sum to the reference area 1/2 so that the integral over a
+    physical cell is |det J| * sum(w_q f(x_q)).
     """
 
-    points: np.ndarray  # (nq, d+1) barycentric
+    points: np.ndarray  # (nq, 3) barycentric
     weights: np.ndarray  # (nq,)
     degree: int
 
@@ -55,8 +55,8 @@ def _jacobi_01(n, alpha):
     return 0.5 * (x + 1.0), v[0] ** 2 / (alpha + 1.0)
 
 
-def quadrature_for(degree, dim=2) -> QuadratureRule:
-    """Conical product rule exact to the given total degree.
+def quadrature_for(degree) -> QuadratureRule:
+    """Conical product rule on the triangle exact to the given total degree.
 
     Uses n = ceil((degree+1)/2) points per direction; all weights are
     positive by construction.
@@ -64,37 +64,20 @@ def quadrature_for(degree, dim=2) -> QuadratureRule:
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     n = max(1, math.ceil((degree + 1) / 2))
-    if dim == 2:
-        xi, wx = _gauss_01(n)
-        eta, we = _jacobi_01(n, 1.0)
-        X = np.outer(1.0 - eta, xi)  # x = xi (1 - eta), y = eta
-        Y = np.broadcast_to(eta[:, None], X.shape)
-        W = np.outer(we, wx)
-        x, y, w = X.ravel(), Y.ravel(), W.ravel()
-        pts = np.column_stack([1.0 - x - y, x, y])
-        return QuadratureRule(pts, w, 2 * n - 1)
-    if dim == 3:
-        xi, wx = _gauss_01(n)
-        e2, w2 = _jacobi_01(n, 1.0)
-        e3, w3 = _jacobi_01(n, 2.0)
-        pts = []
-        wts = []
-        for c, wc in zip(e3, w3):
-            for b, wb in zip(e2, w2):
-                for a, wa in zip(xi, wx):
-                    x = a * (1.0 - b) * (1.0 - c)
-                    y = b * (1.0 - c)
-                    z = c
-                    pts.append((1.0 - x - y - z, x, y, z))
-                    wts.append(wa * wb * wc)
-        return QuadratureRule(np.array(pts), np.array(wts), 2 * n - 1)
-    raise ValueError("dim must be 2 or 3")
+    xi, wx = _gauss_01(n)
+    eta, we = _jacobi_01(n, 1.0)
+    X = np.outer(1.0 - eta, xi)  # x = xi (1 - eta), y = eta
+    Y = np.broadcast_to(eta[:, None], X.shape)
+    W = np.outer(we, wx)
+    x, y, w = X.ravel(), Y.ravel(), W.ravel()
+    pts = np.column_stack([1.0 - x - y, x, y])
+    return QuadratureRule(pts, w, 2 * n - 1)
 
 
 # -- reference elements ------------------------------------------------
 
 class Element:
-    """Scalar reference element on the simplex.
+    """Scalar reference element on the triangle.
 
     Subclasses define the basis through barycentric coordinates; both
     values and derivatives with respect to the barycentric tuple are
@@ -108,14 +91,6 @@ class Element:
     cell_dofs = 0
     # local edges follow the opposite-vertex convention
     local_edges_2d = ((1, 2), (0, 2), (0, 1))
-
-    def n_local(self, dim):
-        n_edges = {2: 3, 3: 6}[dim]
-        return (
-            self.vertex_dofs * (dim + 1)
-            + self.edge_dofs * n_edges
-            + self.cell_dofs
-        )
 
     def eval(self, lam):
         raise NotImplementedError
@@ -138,7 +113,7 @@ class P1(Element):
 
 
 class P1Bubble(Element):
-    """P1 enriched with the cubic cell bubble 27 l0 l1 l2 (2D)."""
+    """P1 enriched with the cubic cell bubble 27 l0 l1 l2."""
 
     name = "P1b"
     degree = 3
@@ -147,8 +122,6 @@ class P1Bubble(Element):
 
     def eval(self, lam):
         lam = np.asarray(lam, dtype=float)
-        if lam.shape[1] != 3:
-            raise NotImplementedError("bubble element implemented in 2D")
         bub = 27.0 * lam[:, 0] * lam[:, 1] * lam[:, 2]
         return np.column_stack([lam, bub])
 
@@ -171,8 +144,6 @@ class P2(Element):
 
     def eval(self, lam):
         lam = np.asarray(lam, dtype=float)
-        if lam.shape[1] != 3:
-            raise NotImplementedError("P2 tabulated in 2D")
         vtx = lam * (2.0 * lam - 1.0)
         edges = [4.0 * lam[:, a] * lam[:, b] for a, b in self.local_edges_2d]
         return np.column_stack([vtx] + edges)
@@ -245,8 +216,6 @@ class FESpace:
         self.element = element
         self.n_components = int(n_components)
         d = mesh.dim
-        if d != 2 and element.name in ("P2", "P1b"):
-            raise NotImplementedError(f"{element.name} tabulated in 2D only")
 
         nv, nc = mesh.n_vertices, mesh.n_cells
         cols = []
@@ -303,7 +272,7 @@ class FESpace:
         the field and residual kernels multiply with (``grad_rows``).
         """
         if degree not in self._tab:
-            rule = quadrature_for(degree, self.mesh.dim)
+            rule = quadrature_for(degree)
             phi = self.element.eval(rule.points)
             dlam = self.element.dlambda(rule.points)  # (nq, n_local, d+1)
             nq, nloc, nk = dlam.shape
@@ -488,65 +457,3 @@ def interpolate(space: FESpace, f) -> DiscreteField:
         else:
             raise NotImplementedError(el.name)
     return DiscreteField(space, U.ravel())
-
-
-def div_preserving_projection(
-    v_space: FESpace, q_space: FESpace, u0, solenoidal=True, degree=7
-) -> DiscreteField:
-    """L2 projection onto the discretely divergence-free subspace.
-
-    Minimizes ||u_h - u0||_2 subject to homogeneous boundary values
-    and (div u_h, psi_h) = 0 for all pressure test functions, through
-    one pinned saddle solve (``assembly.solve_saddle``); the pressure
-    multiplier is discarded.  With ``solenoidal=False`` the divergence
-    data (div u0, psi_h) is kept on the right-hand side instead of being
-    zeroed.  u0 must then vanish on the boundary: that makes the data
-    sum to zero, which the pinned solve needs.
-    """
-    from . import assembly  # deferred to keep module layering acyclic
-
-    M = assembly.assemble_mass(v_space)
-    B = assembly.assemble_divergence(v_space, q_space)
-    w = assembly.pressure_mean_vector(q_space)
-    rhs_u = assembly.assemble_rhs(v_space, u0, degree=degree)
-    if solenoidal:
-        g = np.zeros(q_space.n_dofs)
-    else:
-        # (div u0, psi) = -(u0, grad psi) for boundary-vanishing u0
-        _, _, gphys_q, xq = q_space.tabulation(degree)
-        uvals = np.asarray(u0(xq.reshape(-1, v_space.mesh.dim))).reshape(
-            q_space.mesh.n_cells, -1, v_space.mesh.dim
-        )
-        g = np.zeros(q_space.n_dofs)
-        contrib = -np.einsum("cqbl,cql->cqb", gphys_q, uvals)
-        rule = q_space.tabulation(degree)[0]
-        cell = np.einsum("q,cqb->cb", rule.weights, contrib) * q_space.detJ[:, None]
-        np.add.at(g, q_space.cell_dofs, cell)
-    bdofs = v_space.boundary_dofs()
-    U, _ = assembly.solve_saddle(M, B, w, rhs_u, g, bdofs)
-    return DiscreteField(v_space, U)
-
-
-def inf_sup_constant(v_space: FESpace, q_space: FESpace):
-    """Discrete inf-sup constant of the velocity/pressure pair.
-
-    Square root of the smallest nonzero eigenvalue of the pressure Schur
-    complement B K^-1 B^T relative to the pressure mass matrix, with K
-    the gradient-seminorm matrix on the constrained velocity space.
-    Dense solve; intended for the coarse meshes of the verification
-    suite.
-    """
-    from scipy.linalg import eigh
-
-    from . import assembly
-
-    K = assembly.assemble_stiffness(v_space).toarray()
-    B = assembly.assemble_divergence(v_space, q_space).toarray()
-    Mq = assembly.assemble_mass(q_space).toarray()
-    free = np.setdiff1d(np.arange(v_space.n_dofs), v_space.boundary_dofs())
-    Kf = K[np.ix_(free, free)]
-    Bf = B[:, free]
-    S = Bf @ np.linalg.solve(Kf, Bf.T)
-    ev = eigh(S, Mq, eigvals_only=True)
-    # first eigenvalue is the constant-pressure zero mode
-    return float(np.sqrt(max(ev[1], 0.0)))

@@ -32,11 +32,11 @@ class Mesh:
 
     Attributes
     ----------
-    vertices : ndarray, shape (n_vertices, d)
-    cells : ndarray, shape (n_cells, d+1)
+    vertices : ndarray, shape (n_vertices, 2)
+    cells : ndarray, shape (n_cells, 3)
         Vertex indices, positively oriented.
-    boundary_facets : ndarray, shape (n_bfacets, d)
-        Facets on the domain boundary.
+    boundary_facets : ndarray, shape (n_bfacets, 2)
+        Edges on the domain boundary.
     boundary_markers : ndarray, shape (n_bfacets,)
         Integer marker per boundary facet (1 = Dirichlet wall).
     level : int
@@ -57,11 +57,10 @@ class Mesh:
         self.cells = np.ascontiguousarray(self.cells, dtype=np.int64)
         self.boundary_facets = np.ascontiguousarray(self.boundary_facets, dtype=np.int64)
         self.boundary_markers = np.ascontiguousarray(self.boundary_markers, dtype=np.int64)
-        if self.vertices.ndim != 2 or self.vertices.shape[1] not in (2, 3):
-            raise ValueError("vertices must have shape (n, 2) or (n, 3)")
-        d = self.vertices.shape[1]
-        if self.cells.ndim != 2 or self.cells.shape[1] != d + 1:
-            raise ValueError(f"cells must have shape (n, {d + 1})")
+        if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
+            raise ValueError("vertices must have shape (n, 2)")
+        if self.cells.ndim != 2 or self.cells.shape[1] != 3:
+            raise ValueError("cells must have shape (n, 3)")
         if self.cells.size and self.cells.max() >= len(self.vertices):
             raise ValueError("cell references a missing vertex")
         if np.any(self.cell_volumes() <= 0.0):
@@ -82,14 +81,11 @@ class Mesh:
         return len(self.cells)
 
     def cell_volumes(self):
-        """Signed simplex volumes (areas in 2D)."""
+        """Signed cell areas."""
         X = self.vertices[self.cells]
         E = X[:, 1:, :] - X[:, :1, :]
-        if self.dim == 2:
-            det = E[:, 0, 0] * E[:, 1, 1] - E[:, 0, 1] * E[:, 1, 0]
-            return 0.5 * det
-        det = np.linalg.det(E)
-        return det / 6.0
+        det = E[:, 0, 0] * E[:, 1, 1] - E[:, 0, 1] * E[:, 1, 0]
+        return 0.5 * det
 
     def edges(self):
         """Unique vertex pairs over all cells, sorted rows, sorted order."""
@@ -126,12 +122,7 @@ class Mesh:
         idx = list(range(d + 1))
         for drop in idx:
             keep = [i for i in idx if i != drop]
-            if d == 2:
-                surf += np.linalg.norm(X[:, keep[0]] - X[:, keep[1]], axis=1)
-            else:
-                E1 = X[:, keep[1]] - X[:, keep[0]]
-                E2 = X[:, keep[2]] - X[:, keep[0]]
-                surf += 0.5 * np.linalg.norm(np.cross(E1, E2), axis=1)
+            surf += np.linalg.norm(X[:, keep[0]] - X[:, keep[1]], axis=1)
         rho = 2.0 * d * vols / surf
         return MeshQuality(
             h_max=float(hs.max()), h_min=float(hs.min()), gamma=float((hs / rho).max())
@@ -207,8 +198,6 @@ def unit_square_mesh(n) -> Mesh:
 
 def refine_uniform(mesh: Mesh) -> Mesh:
     """Red refinement: every triangle split into four via edge midpoints."""
-    if mesh.dim != 2:
-        raise NotImplementedError("uniform refinement implemented for 2D meshes")
     E = mesh.edges()
     nv = mesh.n_vertices
     mid = 0.5 * (mesh.vertices[E[:, 0]] + mesh.vertices[E[:, 1]])
@@ -286,7 +275,7 @@ def quality_report(meshes) -> str:
 def read_mesh_text(text) -> Mesh:
     """Parse the plain ASCII mesh format.
 
-    Layout: one header line ``d n_vertices n_cells``, then n_vertices
+    Layout: one header line ``2 n_vertices n_cells``, then n_vertices
     coordinate lines, then n_cells lines of 1-based vertex indices.
     Boundary facets are derived as the facets with single incidence and
     marked 1.
@@ -299,8 +288,8 @@ def read_mesh_text(text) -> Mesh:
         d, nv, nc = (int(t) for t in tokens[:3])
     except ValueError as exc:
         raise MeshFormatError(f"bad header: {exc}") from None
-    if d not in (2, 3):
-        raise MeshFormatError(f"dimension must be 2 or 3, got {d}")
+    if d != 2:
+        raise MeshFormatError(f"dimension must be 2, got {d}")
     need = 3 + nv * d + nc * (d + 1)
     if len(tokens) != need:
         raise MeshFormatError(
@@ -320,12 +309,9 @@ def read_mesh_text(text) -> Mesh:
     # orient positively by swapping the last two vertices where needed
     X = coords[conn]
     E = X[:, 1:, :] - X[:, :1, :]
-    if d == 2:
-        det = E[:, 0, 0] * E[:, 1, 1] - E[:, 0, 1] * E[:, 1, 0]
-    else:
-        det = np.linalg.det(E)
+    det = E[:, 0, 0] * E[:, 1, 1] - E[:, 0, 1] * E[:, 1, 0]
     flip = det < 0.0
-    conn[flip] = conn[flip][:, [0, 2, 1] if d == 2 else [0, 1, 3, 2]]
+    conn[flip] = conn[flip][:, [0, 2, 1]]
 
     idx = list(range(d + 1))
     blocks = []

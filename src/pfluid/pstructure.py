@@ -63,13 +63,10 @@ class StressModel:
         Power-law exponent, required to lie in (1, 2].
     delta : float
         Regularization parameter, required to be nonnegative.
-    dim : int
-        Spatial dimension of the tensors fed to the law (2 or 3).
     """
 
     p: float
     delta: float
-    dim: int = 2
 
     def __post_init__(self):
         p = float(self.p)
@@ -77,8 +74,6 @@ class StressModel:
             raise ValueError(f"exponent p must lie in (1, 2], got {p}")
         if not (float(self.delta) >= 0.0):
             raise ValueError(f"delta must be nonnegative, got {self.delta}")
-        if self.dim not in (2, 3):
-            raise ValueError(f"dim must be 2 or 3, got {self.dim}")
         self.p = p
         self.delta = float(self.delta)
 
@@ -364,14 +359,13 @@ def check_equivalences(model: StressModel, P, Q) -> EquivalenceReport:
 def equivalence_envelope(model: StressModel, n_samples, seed, scale=2.0):
     """Sampled min/max of each equivalence ratio over random pairs.
 
-    Pairs with sym P = sym Q or sym Q = 0 never occur almost surely
-    under the uniform draw; any that do occur are excluded.  Returns a
-    dict name -> (min, max).
+    The pairs are 2x2 tensors.  Pairs with sym P = sym Q or sym Q = 0
+    never occur almost surely under the uniform draw; any that do occur
+    are excluded.  Returns a dict name -> (min, max).
     """
     rng = np.random.default_rng(seed)
-    d = model.dim
-    P = rng.uniform(-scale, scale, size=(n_samples, d, d))
-    Q = rng.uniform(-scale, scale, size=(n_samples, d, d))
+    P = rng.uniform(-scale, scale, size=(n_samples, 2, 2))
+    Q = rng.uniform(-scale, scale, size=(n_samples, 2, 2))
     ratios, degenerate = equivalence_ratios(model, P, Q)
     out = {}
     for name, vals in ratios.items():

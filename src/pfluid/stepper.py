@@ -8,7 +8,9 @@ Each step solves the fully coupled velocity/pressure system
 
 with the convecting field frozen at the previous step, so the
 nonlinearity entering Newton's method is the stress alone.  The initial
-field is the divergence-preserving projection of the data.
+field is the divergence-preserving projection of the data, solved on
+the same pinned saddle system (``StepperContext.kkt``) as every step,
+so a run builds and orders one KKT pattern.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import time
 import numpy as np
 
 from . import assembly
-from .fespace import DiscreteField, div_preserving_projection
+from .fespace import DiscreteField
 
 
 class NonConvergenceError(RuntimeError):
@@ -60,7 +62,6 @@ class SolverOptions:
     jac_delta_floor: float = 1e-8  # times min(1, max |sym Du|); see assemble_stress
     method: str = "newton"  # "newton" (with picard fallback) or "picard"
     quad_degree: int = 5
-    data_degree: int = 5
 
 
 @dataclass
@@ -127,7 +128,7 @@ class StepperContext:
         nu = self.v_space.n_dofs
         nq = self.q_space.n_dofs
         if f is not None:
-            F = assembly.assemble_rhs(self.v_space, f, degree=opts.data_degree)
+            F = assembly.assemble_rhs(self.v_space, f, degree=opts.quad_degree)
         else:
             F = np.zeros(nu)
         N_local = assembly.assemble_convection(self.v_space, U_prev)
@@ -275,25 +276,36 @@ class Trajectory:
         return float(np.max(self.divergences()))
 
 
+def div_preserving_projection(ctx: StepperContext, u0, degree=7) -> DiscreteField:
+    """L2 projection onto the discretely divergence-free subspace.
+
+    Minimizes ||u_h - u0||_2 subject to homogeneous boundary values
+    and (div u_h, psi_h) = 0 for all pressure test functions.  Scaled
+    by 1/kappa, that minimization is the context's saddle system with
+    the mass block alone, M/kappa u - B^T q = (u0, v)/kappa, B u = 0,
+    so it is one solve with ``ctx._fixed_data`` on ``ctx.kkt``; the
+    pressure multiplier is discarded.
+    """
+    rhs_u = assembly.assemble_rhs(ctx.v_space, u0, degree=degree) / ctx.kappa
+    x = ctx.kkt.solve(ctx._fixed_data,
+                      ctx.kkt.rhs(rhs_u, np.zeros(ctx.q_space.n_dofs)))
+    return DiscreteField(ctx.v_space, ctx.kkt.split(x)[0])
+
+
 def run_simulation(v_space, q_space, model, grid: TimeGrid, u0, f=None,
                    options=None) -> Trajectory:
     """Run the scheme over the grid from initial data u0.
 
-    u0 may be a callable (projected onto the discretely divergence-free
-    subspace) or a DiscreteField taken as is.  f, when given, is called
-    as f(t, X) with X of shape (n, d).
+    u0 is a callable mapping points (n, d) to values (n, d); it is
+    projected onto the discretely divergence-free subspace.  f, when
+    given, is called as f(t, X) with X of shape (n, d).
     """
     opts = options or SolverOptions()
     if grid.kappa > 1.0:
         raise ValueError(f"time step kappa={grid.kappa:.3g} must be <= 1")
     t0 = time.perf_counter()
-    if isinstance(u0, DiscreteField):
-        U0 = np.array(u0.coeffs, dtype=float)
-    else:
-        U0 = div_preserving_projection(
-            v_space, q_space, u0, degree=max(opts.data_degree, 5)
-        ).coeffs
     ctx = StepperContext(v_space, q_space, model, grid.kappa, opts)
+    U0 = div_preserving_projection(ctx, u0, degree=max(opts.quad_degree, 5)).coeffs
     velocities = [U0]
     pressures = [np.zeros(q_space.n_dofs)]
     diags = []

@@ -4,8 +4,8 @@ The verification pipeline: an exact divergence-free velocity/pressure
 pair with all derivatives in closed form, the forcing that makes it
 solve the flow problem, per-step error records in the natural norms,
 convergence studies under a kappa = sigma*h coupling, and numeric
-checkers for the discrete Gronwall inequality and for the mean-square
-time-increment (Bochner) bound.
+checkers for the discrete Gronwall inequality, for the mean-square
+time-increment (Bochner) bound and for the discrete inf-sup constant.
 """
 
 from __future__ import annotations
@@ -426,10 +426,7 @@ def convergence_study(config: StudyConfig) -> StudyResult:
     ms = manufactured_default(config.manufactured)
     model = StressModel(config.p, config.delta)
     f = forcing_from(ms, model)
-    opts = SolverOptions(
-        tol=config.tol, quad_degree=config.quad_flow,
-        data_degree=config.quad_flow,
-    )
+    opts = SolverOptions(tol=config.tol, quad_degree=config.quad_flow)
 
     runs = []
     if config.mode == "coupled":
@@ -740,8 +737,8 @@ def quasi_norm_suite(mesh, model: StressModel, samples=100, seed=0) -> QuasiNorm
 
     if samples < 100:
         raise ValueError("suite requires at least 100 sample pairs")
-    V = FESpace(mesh, "P1", n_components=mesh.dim)
-    vols = V.detJ * quadrature_weight_total(mesh.dim)
+    V = FESpace(mesh, "P1", n_components=2)
+    vols = 0.5 * V.detJ  # cell areas: the reference triangle has area 1/2
     rng = np.random.default_rng(seed)
     p = model.p
     ratios = np.zeros(samples)
@@ -762,9 +759,29 @@ def quasi_norm_suite(mesh, model: StressModel, samples=100, seed=0) -> QuasiNorm
     )
 
 
-def quadrature_weight_total(dim):
-    # reference simplex volume
-    return 0.5 if dim == 2 else 1.0 / 6.0
+# -- discrete inf-sup constant -----------------------------------------
+
+def inf_sup_constant(v_space: FESpace, q_space: FESpace):
+    """Discrete inf-sup constant of the velocity/pressure pair.
+
+    Square root of the smallest nonzero eigenvalue of the pressure Schur
+    complement B K^-1 B^T relative to the pressure mass matrix, with K
+    the gradient-seminorm matrix on the constrained velocity space.
+    Dense solve; intended for the coarse meshes of the verification
+    suite.
+    """
+    from scipy.linalg import eigh
+
+    K = assembly.assemble_stiffness(v_space).toarray()
+    B = assembly.assemble_divergence(v_space, q_space).toarray()
+    Mq = assembly.assemble_mass(q_space).toarray()
+    free = np.setdiff1d(np.arange(v_space.n_dofs), v_space.boundary_dofs())
+    Kf = K[np.ix_(free, free)]
+    Bf = B[:, free]
+    S = Bf @ np.linalg.solve(Kf, Bf.T)
+    ev = eigh(S, Mq, eigvals_only=True)
+    # first eigenvalue is the constant-pressure zero mode
+    return float(np.sqrt(max(ev[1], 0.0)))
 
 
 # -- weak-residual consistency gate ------------------------------------
@@ -787,8 +804,8 @@ def weak_residual_check(ms: ManufacturedSolution, model: StressModel,
     random fields v with zero boundary values.  Analytically the
     residual vanishes; what remains measures quadrature consistency.
     """
-    rule, _, gphys, xq = v_space.tabulation(degree)
-    wd = v_space.detJ[:, None] * rule.weights[None, :]
+    _, _, _, xq = v_space.tabulation(degree)
+    wd = v_space.cell_weights(degree)
     Xflat = xq.reshape(-1, v_space.mesh.dim)
     nc, nq = xq.shape[:2]
 

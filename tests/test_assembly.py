@@ -21,7 +21,6 @@ from pfluid.assembly import (
     global_matrix,
     local_matvec,
     pressure_mean_vector,
-    solve_saddle,
 )
 from pfluid.fespace import FESpace, element_pair, interpolate
 from pfluid.mesh import unit_square_mesh
@@ -342,7 +341,10 @@ def test_solve_saddle_stokes():
     free = np.setdiff1d(np.arange(vs.n_dofs), bdofs)
     f = assemble_rhs(vs, lambda X: np.column_stack(
         [np.ones(len(X)), X[:, 0] * X[:, 1]]))
-    u, q = solve_saddle(A, B, w, f, np.zeros(qs.n_dofs), bdofs)
+    Acoo = A.tocoo()
+    sys = SaddleSystem([(Acoo.row, Acoo.col)], B, w, bdofs)
+    u, q = sys.split(sys.solve(sys.base + sys.scatter(0, Acoo.data),
+                               sys.rhs(f, np.zeros(qs.n_dofs))))
     assert np.max(np.abs(u[bdofs])) < 1e-14
     assert abs(w @ q) < 1e-12 * (1.0 + np.linalg.norm(q))
     # every row of B u = 0 holds, the pinned one included
@@ -353,11 +355,10 @@ def test_solve_saddle_stokes():
 
 def test_solve_saddle_singular_raises():
     nu, nq = 4, 2
-    A = sparse.csr_matrix((nu, nu))
     B = sparse.csr_matrix((nq, nu))
+    sys = SaddleSystem([], B, np.zeros(nq), np.array([], dtype=np.int64))
     with pytest.raises(LinearSolveError):
-        solve_saddle(A, B, np.zeros(nq), np.zeros(nu), np.zeros(nq),
-                     np.array([], dtype=np.int64))
+        sys.solve(sys.base, sys.rhs(np.zeros(nu), np.zeros(nq)))
 
 
 def test_stepper_factorization_fill(monkeypatch):

@@ -5,10 +5,13 @@ import pytest
 
 from pfluid import assembly
 from pfluid.fespace import (
-    DiscreteField, FESpace, div_preserving_projection, element_by_name,
-    element_pair, inf_sup_constant, interpolate, quadrature_for,
+    DiscreteField, FESpace, element_by_name, element_pair, interpolate,
+    quadrature_for,
 )
 from pfluid.mesh import refine_uniform, unit_square_mesh
+from pfluid.pstructure import StressModel
+from pfluid.stepper import StepperContext, div_preserving_projection
+from pfluid.verification import inf_sup_constant
 
 
 def reference_monomial_integral(a, b):
@@ -153,33 +156,43 @@ def test_boundary_dofs():
     assert np.all(np.sort(bd % v.n_scalar)[::2] == np.sort(p1.boundary_scalar_dofs()))
 
 
+def projection_context(V, Q):
+    # the projection only reads the context's mass and constraint blocks,
+    # so the model and time step are arbitrary
+    return StepperContext(V, Q, StressModel(2.0, 1.0), 0.1)
+
+
 def test_projection_zero_is_zero():
     mesh = unit_square_mesh(2)
     V = FESpace(mesh, "P1b", n_components=2)
     Q = FESpace(mesh, "P1")
-    proj = div_preserving_projection(V, Q, lambda X: np.zeros_like(X))
+    ctx = projection_context(V, Q)
+    proj = div_preserving_projection(ctx, lambda X: np.zeros_like(X))
     assert np.max(np.abs(proj.coeffs)) == 0.0
 
 
 def test_projection_divergence_free_and_idempotent():
     mesh = unit_square_mesh(4)
-    V = FESpace(mesh, "P1b", n_components=2)
-    Q = FESpace(mesh, "P1")
 
     def u0(X):
         x, y = X[..., 0], X[..., 1]
         s = (np.sin(np.pi * x) * np.sin(np.pi * y)) ** 2
         return np.stack([s, -s], axis=-1)
 
-    proj = div_preserving_projection(V, Q, u0)
-    B = assembly.assemble_divergence(V, Q)
-    assert np.max(np.abs(B @ proj.coeffs)) < 1e-12
+    for pair in ("MINI", "TH"):
+        ev, eq = element_pair(pair)
+        V = FESpace(mesh, ev, n_components=2)
+        Q = FESpace(mesh, eq)
+        ctx = projection_context(V, Q)
+        proj = div_preserving_projection(ctx, u0)
+        B = assembly.assemble_divergence(V, Q)
+        assert np.max(np.abs(B @ proj.coeffs)) < 1e-12
 
-    # point-wise wrapper since evaluate takes one location at a time
-    again = div_preserving_projection(
-        V, Q, lambda X: np.array([proj.evaluate(x) for x in X])
-    )
-    assert np.max(np.abs(again.coeffs - proj.coeffs)) < 1e-10
+        # point-wise wrapper since evaluate takes one location at a time
+        again = div_preserving_projection(
+            ctx, lambda X: np.array([proj.evaluate(x) for x in X])
+        )
+        assert np.max(np.abs(again.coeffs - proj.coeffs)) < 1e-10
 
 
 def test_projection_orthogonal_to_divfree_fields():
@@ -193,13 +206,14 @@ def test_projection_orthogonal_to_divfree_fields():
         x, y = X[..., 0], X[..., 1]
         return np.stack([x * (1 - x) * y, -(y * (1 - y)) * x], axis=-1)
 
-    proj = div_preserving_projection(V, Q, u0, degree=7)
+    ctx = projection_context(V, Q)
+    proj = div_preserving_projection(ctx, u0, degree=7)
     Mv = assembly.assemble_mass(V)
     rhs = assembly.assemble_rhs(V, u0, degree=7)
     rng = np.random.default_rng(1)
     for _ in range(5):
         test = div_preserving_projection(
-            V, Q, lambda X, c=rng.standard_normal(2): np.stack(
+            ctx, lambda X, c=rng.standard_normal(2): np.stack(
                 [c[0] * X[..., 0] * (1 - X[..., 0]) * X[..., 1] * (1 - X[..., 1]),
                  c[1] * X[..., 0] * (1 - X[..., 0]) * X[..., 1] * (1 - X[..., 1])],
                 axis=-1,
@@ -223,7 +237,7 @@ def test_projection_convergence_rate():
     for _ in range(3):
         V = FESpace(mesh, "P1b", n_components=2)
         Q = FESpace(mesh, "P1")
-        proj = div_preserving_projection(V, Q, u0)
+        proj = div_preserving_projection(projection_context(V, Q), u0)
         rule, _, _, xq = V.tabulation(7)
         diff = V.eval_at_qp(proj.coeffs, 7) - u0(xq)
         errs.append(np.sqrt(V.integrate(np.sum(diff**2, -1), 7)))

@@ -143,3 +143,6 @@ def test_read_mesh_text_errors():
         read_mesh_text(MESH_TEXT + "7\n")
     with pytest.raises(MeshFormatError):
         read_mesh_text(MESH_TEXT.replace("2 4 2", "4 4 2"))
+    with pytest.raises(MeshFormatError, match="dimension"):
+        # a well-formed single tetrahedron: the meshes are 2D only
+        read_mesh_text("3 4 1\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n1 2 3 4\n")

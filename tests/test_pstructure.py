@@ -24,8 +24,6 @@ def test_model_validation():
         StressModel(1.0, 1.0)
     with pytest.raises(ValueError):
         StressModel(1.8, -0.1)
-    with pytest.raises(ValueError):
-        StressModel(1.8, 0.1, dim=4)
 
 
 def test_stress_hand_value():

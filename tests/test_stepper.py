@@ -15,7 +15,6 @@ from pfluid.assembly import (
     assemble_stress,
     global_matrix,
     pressure_mean_vector,
-    solve_saddle,
 )
 from pfluid.fespace import DiscreteField, FESpace, element_pair
 from pfluid.mesh import unit_square_mesh
@@ -111,8 +110,10 @@ def test_p2_matches_independent_linear_stepper():
     for m, t in enumerate(grid.times()[1:], start=1):
         N = global_matrix(vs, assemble_convection(vs, U))
         F = assemble_rhs(vs, lambda X, _t=t: f(_t, X))
-        U, Q = solve_saddle(
-            M / k + E + N, B, w, F + M @ U / k, np.zeros(qs.n_dofs), bdofs)
+        A = (M / k + E + N).tocoo()
+        sys = assembly.SaddleSystem([(A.row, A.col)], B, w, bdofs)
+        U, Q = sys.split(sys.solve(sys.base + sys.scatter(0, A.data),
+                                   sys.rhs(F + M @ U / k, np.zeros(qs.n_dofs))))
         scale = 1.0 + np.linalg.norm(U)
         assert np.linalg.norm(U - traj.velocities[m]) < 1e-9 * scale
 
@@ -242,6 +243,24 @@ def test_static_pivot_failure_falls_back_to_partial_pivoting(
     assert len(warnings) == diag.iterations
     assert all(r.levelname == "WARNING" and "relative residual" in r.getMessage()
                for r in warnings)
+
+
+def test_run_orders_one_saddle_pattern(monkeypatch, caplog):
+    """The projection of u0 solves on the stepper's KKT system, so a run
+    builds and orders one pattern, and every solve keeps static pivots."""
+    real_order = assembly._minimum_degree_order
+    sizes = []
+
+    def counting_order(rows, cols, n):
+        sizes.append(n)
+        return real_order(rows, cols, n)
+
+    monkeypatch.setattr(assembly, "_minimum_degree_order", counting_order)
+    vs, qs = mini_spaces(4)
+    with caplog.at_level(logging.WARNING, logger="pfluid.assembly"):
+        run_simulation(vs, qs, StressModel(1.8, 0.1), TimeGrid(0.2, 2), bump)
+    assert sizes == [vs.n_dofs + qs.n_dofs]
+    assert not [r for r in caplog.records if r.name == "pfluid.assembly"]
 
 
 def test_trajectory_reports():

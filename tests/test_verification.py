@@ -33,7 +33,6 @@ from pfluid.verification import (
     harvest_gronwall,
     least_squares_rate,
     manufactured_default,
-    quadrature_weight_total,
     quasi_norm_suite,
     weak_residual_check,
 )
@@ -518,11 +517,6 @@ def test_quasi_norm_suite_smoke():
     assert len(rep.ratios) == 100
     with pytest.raises(ValueError, match="100"):
         quasi_norm_suite(unit_square_mesh(2), StressModel(1.7, 0.1), samples=10)
-
-
-def test_quadrature_weight_total():
-    assert quadrature_weight_total(2) == 0.5
-    assert quadrature_weight_total(3) == pytest.approx(1.0 / 6.0)
 
 
 def test_weak_residual_small_mesh(ms):
