@@ -54,13 +54,15 @@ scatter map for each source of A-block entries, so refilling the matrix
 is one ``np.bincount`` per source.  The pattern is stored in a
 minimum-degree order of the structure of K + K^T (K the whole matrix),
 computed once per pattern by a factorization with a dominant diagonal.
-Its ``solve`` is the one factor-and-solve routine: the Newton and
+Its ``factor`` is the one factor-and-check routine: the Newton and
 Picard iterations and the initial projection (``stepper``) all use it,
-on the one system a run builds.  It factors in the stored order with
-static (diagonal) pivoting, checks that the solution is finite and that
-||K x - b|| <= ``RESIDUAL_TOL`` ||b||, and otherwise refactors the same
-matrix with COLAMD and partial pivoting, logging a WARNING;
-LinearSolveError is raised when that check fails too.  Every
+on the one system a run builds.  ``factor(data)`` factors in the stored
+order with static (diagonal) pivoting and returns a solver that can be
+called with any number of right-hand sides.  Every call checks that the
+solution is finite and that ||K x - b|| <= ``RESIDUAL_TOL`` ||b|| for
+the factored K, and otherwise refactors K once with COLAMD and partial
+pivoting, logging a WARNING, and keeps that LU for later calls;
+LinearSolveError is raised when the check fails on it too.  Every
 factorization goes through the module attribute ``splu``.
 """
 
@@ -301,11 +303,12 @@ class SaddleSystem:
     and the free columns of B and -B^T outside that dof's row and
     column.  Unknown i is stored at position ``perm[i]``, a
     minimum-degree order of the pattern, so ``csc(data)`` is the
-    symmetrically permuted matrix; ``rhs``, ``split`` and ``solve`` use
-    the original numbering.  A matrix on the pattern is its ``data``
-    array: ``base`` holds the fixed blocks, ``scatter(k, values)`` adds
-    values given in the order of entries[k], and ``solve`` factors and
-    solves.
+    symmetrically permuted matrix; ``rhs``, ``split`` and the solvers
+    from ``factor`` use the original numbering.  A matrix on the pattern
+    is its ``data`` array: ``base`` holds the fixed blocks,
+    ``scatter(k, values)`` adds values given in the order of entries[k],
+    and ``factor(data)`` factors it.  ``factorizations`` counts the
+    ``splu`` calls of the solvers ``factor`` returned.
     """
 
     def __init__(self, entries, B, w, bdofs):
@@ -315,6 +318,7 @@ class SaddleSystem:
         self.shape = (n, n)
         self.w = np.asarray(w, dtype=float)
         self.bdofs = np.asarray(bdofs, dtype=np.int64)
+        self.factorizations = 0
         free = np.ones(self.nu, dtype=bool)
         free[self.bdofs] = False
 
@@ -359,33 +363,21 @@ class SaddleSystem:
     def csc(self, data):
         return sparse.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
 
-    def solve(self, data, rhs):
-        """Solve the system with the given data for rhs.
+    def factor(self, data):
+        """Factor the matrix with the given data; returns a solver.
 
-        The pinned pressure's rhs entry is taken as 0, and the pressure
-        of the solution is shifted to zero mean (w @ q = 0).  The first
-        attempt keeps the pattern's order and pivots on the diagonal.
-        When its solution is not finite or its relative residual exceeds
-        ``RESIDUAL_TOL``, the matrix is refactored with COLAMD and
-        partial pivoting, with a WARNING on the ``pfluid.assembly``
-        logger.  Raises LinearSolveError when that attempt fails too.
+        The solver maps a rhs to the solution x, as often as it is
+        called.  The pinned pressure's rhs entry is taken as 0, and the
+        pressure of the solution is shifted to zero mean (w @ q = 0).
+        The first LU keeps the pattern's order and pivots on the
+        diagonal.  When a solution is not finite or its relative
+        residual against this matrix exceeds ``RESIDUAL_TOL``, the
+        matrix is refactored with COLAMD and partial pivoting, with a
+        WARNING on the ``pfluid.assembly`` logger, and that LU serves
+        the later calls.  Raises LinearSolveError when a solve with it
+        fails the check too.
         """
-        b = np.empty(self.shape[0])
-        b[self.perm] = rhs
-        b[self.perm[self.nu + PINNED]] = 0.0
-        K = self.csc(data)
-        y, rel = _factor_solve(K, b, permc_spec="NATURAL", diag_pivot_thresh=0.0)
-        if not rel <= RESIDUAL_TOL:
-            log.warning("static-pivot LU rejected (relative residual %.3g); "
-                        "refactoring with partial pivoting", rel)
-            y, rel = _factor_solve(K, b, permc_spec="COLAMD", diag_pivot_thresh=1.0)
-            if not rel <= RESIDUAL_TOL:
-                raise LinearSolveError(
-                    f"sparse LU failed (relative residual {rel:.3g})")
-        x = y[self.perm]
-        q = x[self.nu :]
-        q -= (self.w @ q) / self.w.sum()
-        return x
+        return _SaddleSolver(self, self.csc(data))
 
     def rhs(self, rhs_u, rhs_q):
         f = np.array(rhs_u, dtype=float)
@@ -411,17 +403,48 @@ def _minimum_degree_order(rows, cols, n):
     return np.asarray(lu.perm_c)
 
 
-def _factor_solve(K, b, **options):
-    """LU-solve K y = b; returns (y, ||K y - b|| / ||b||).
+class _SaddleSolver:
+    """LU of one matrix of a ``SaddleSystem``, checked on every solve."""
 
-    The residual is inf when SuperLU finds a singular factor and nan
-    when y is not finite.
-    """
-    try:
-        y = splu(K, **options).solve(b)
-    except RuntimeError:  # SuperLU signals a singular factor this way
-        return None, np.inf
-    if not np.all(np.isfinite(y)):
-        return y, np.nan
-    bnorm = max(np.linalg.norm(b), np.finfo(float).tiny)
-    return y, np.linalg.norm(K @ y - b) / bnorm
+    def __init__(self, system, K):
+        self.system = system
+        self.K = K
+        self.partial = False
+        self.lu = self._factor(permc_spec="NATURAL", diag_pivot_thresh=0.0)
+
+    def _factor(self, **options):
+        self.system.factorizations += 1
+        try:
+            return splu(self.K, **options)
+        except RuntimeError:  # SuperLU signals a singular factor this way
+            return None
+
+    def _solve(self, b):
+        """(y, ||K y - b|| / ||b||); the residual is inf without a factor
+        and nan when y is not finite."""
+        if self.lu is None:
+            return None, np.inf
+        y = self.lu.solve(b)
+        if not np.all(np.isfinite(y)):
+            return y, np.nan
+        bnorm = max(np.linalg.norm(b), np.finfo(float).tiny)
+        return y, np.linalg.norm(self.K @ y - b) / bnorm
+
+    def __call__(self, rhs):
+        kkt = self.system
+        b = np.empty(kkt.shape[0])
+        b[kkt.perm] = rhs
+        b[kkt.perm[kkt.nu + PINNED]] = 0.0
+        y, rel = self._solve(b)
+        if not rel <= RESIDUAL_TOL and not self.partial:
+            log.warning("static-pivot LU rejected (relative residual %.3g); "
+                        "refactoring with partial pivoting", rel)
+            self.lu = self._factor(permc_spec="COLAMD", diag_pivot_thresh=1.0)
+            self.partial = True
+            y, rel = self._solve(b)
+        if not rel <= RESIDUAL_TOL:
+            raise LinearSolveError(f"sparse LU failed (relative residual {rel:.3g})")
+        x = y[kkt.perm]
+        q = x[kkt.nu :]
+        q -= (kkt.w @ q) / kkt.w.sum()
+        return x

@@ -7,10 +7,16 @@ Each step solves the fully coupled velocity/pressure system
     (div u^m, eta) = 0,
 
 with the convecting field frozen at the previous step, so the
-nonlinearity entering Newton's method is the stress alone.  The initial
-field is the divergence-preserving projection of the data, solved on
-the same pinned saddle system (``StepperContext.kkt``) as every step,
-so a run builds and orders one KKT pattern.
+nonlinearity entering Newton's method is the stress alone and its
+Jacobian moves little within a step.  Newton is therefore a chord
+method (Kelley, Iterative Methods for Linear and Nonlinear Equations,
+SIAM 1995, ch. 5): a step factors its KKT matrix once and reuses that
+LU for its later iterations while each accepted iteration contracts the
+residual by ``CHORD_CONTRACTION``; see ``StepperContext.step``.  The LU
+never outlives the step.  The initial field is the divergence-preserving
+projection of the data, solved on the same pinned saddle system
+(``StepperContext.kkt``) as every step, so a run builds and orders one
+KKT pattern.
 """
 
 from __future__ import annotations
@@ -22,6 +28,9 @@ import numpy as np
 
 from . import assembly
 from .fespace import DiscreteField
+
+# largest r_new / r_old of an accepted Newton iteration that keeps its LU
+CHORD_CONTRACTION = 0.1
 
 
 class NonConvergenceError(RuntimeError):
@@ -72,6 +81,7 @@ class StepDiagnostics:
     residual_history: list
     converged: bool
     backtracks: int = 0
+    factorizations: int = 0  # splu calls, partial-pivot refactors included
 
 
 class StepperContext:
@@ -114,16 +124,27 @@ class StepperContext:
         Ru = np.where(self._free > 0.0, Ru, U)
         return np.concatenate([Ru, self.B @ U])
 
-    def _solve(self, U, step_data, mode, rhs):
-        """Solve with the step's matrix plus the stress linearization at U."""
+    def _factor(self, U, step_data, mode):
+        """Solver for the step's matrix plus the stress linearization at U."""
         _, K = assembly.assemble_stress(
             self.v_space, U, self.model, degree=self.opts.quad_degree,
             jacobian=mode, jac_delta_floor=self.opts.jac_delta_floor,
         )
-        return self.kkt.solve(step_data + self.kkt.scatter(0, K), rhs)
+        return self.kkt.factor(step_data + self.kkt.scatter(0, K))
 
     def step(self, U_prev, Q_prev, t_m, f=None, initial=None):
-        """Advance one step; returns (U, Q, StepDiagnostics)."""
+        """Advance one step; returns (U, Q, StepDiagnostics).
+
+        Newton keeps the LU of its last fresh direction.  A fresh
+        direction (no LU kept) is searched by Armijo backtracking.  A
+        chord direction (the kept LU) is tried at full length only: if
+        it is rejected, or its solve raises LinearSolveError, the LU is
+        dropped and a fresh direction is taken from the same iterate,
+        and the try counts as no iteration.  The LU is also dropped
+        after every rejected line search and every accepted iteration
+        with r_new > ``CHORD_CONTRACTION`` r_old.  Picard factors on
+        every iteration.
+        """
         opts = self.opts
         nu = self.v_space.n_dofs
         nq = self.q_space.n_dofs
@@ -147,6 +168,7 @@ class StepperContext:
 
         history = []
         backtracks = 0
+        factored = self.kkt.factorizations
         R = self._residual(U, Q, U_prev, N_local, F)
         rnorm = float(np.linalg.norm(R))
         history.append(rnorm)
@@ -154,24 +176,32 @@ class StepperContext:
         rejects = 0
         newton_iters = 0
         total_iters = 0
+        lu = None  # the Newton LU kept for chord directions
 
         def unpack(x):
             return x[:nu], x[nu:]
 
+        def diagnostics(converged):
+            return StepDiagnostics(total_iters, mode, rnorm, history, converged,
+                                   backtracks, self.kkt.factorizations - factored)
+
         x = np.concatenate([U, Q])
         while total_iters < opts.max_newton + opts.max_picard:
             if rnorm <= tol_eff:
-                return (
-                    x[:nu].copy(), x[nu:].copy(),
-                    StepDiagnostics(total_iters, mode, rnorm, history, True, backtracks),
-                )
+                return x[:nu].copy(), x[nu:].copy(), diagnostics(True)
             U, Q = unpack(x)
             if mode == "newton" and newton_iters >= opts.max_newton:
                 mode = "picard"
             if mode == "newton":
+                chord = lu is not None
                 try:
-                    d = self._solve(U, step_data, "newton", -R)
+                    if not chord:
+                        lu = self._factor(U, step_data, "newton")
+                    d = lu(-R)
                 except assembly.LinearSolveError:
+                    lu = None
+                    if chord:
+                        continue  # refactor at this iterate
                     # singular or non-finite direction: no line search can
                     # use it, so the step continues with Picard
                     mode = "picard"
@@ -186,14 +216,20 @@ class StepperContext:
                     R_try = self._residual(*unpack(x_try), U_prev, N_local, F)
                     r_try = float(np.linalg.norm(R_try))
                     if r_try <= (1.0 - 1e-4 * lam) * rnorm or r_try <= tol_eff:
-                        x, R, rnorm = x_try, R_try, r_try
                         accepted = True
                         break
+                    if chord:
+                        break  # a chord direction is tried at full length only
                     lam *= 0.5
                     backtracks += 1
+                if not accepted or r_try > CHORD_CONTRACTION * rnorm:
+                    lu = None
+                if chord and not accepted:
+                    continue  # a fresh direction from the same iterate
                 newton_iters += 1
                 total_iters += 1
                 if accepted:
+                    x, R, rnorm = x_try, R_try, r_try
                     rejects = 0
                 else:
                     rejects += 1
@@ -204,8 +240,8 @@ class StepperContext:
                 # secant iteration with the frozen-weight operator; direct
                 # iterate, no line search
                 try:
-                    x = self._solve(U, step_data, "picard",
-                                    self.kkt.rhs(rhs_u, np.zeros(nq)))
+                    x = self._factor(U, step_data, "picard")(
+                        self.kkt.rhs(rhs_u, np.zeros(nq)))
                 except assembly.LinearSolveError as exc:
                     raise NonConvergenceError(
                         f"linear solve failed at t={t_m:.6g}: {exc}"
@@ -217,7 +253,7 @@ class StepperContext:
         raise NonConvergenceError(
             f"step at t={t_m:.6g} did not reach tol {tol_eff:.3e} "
             f"(last residual {rnorm:.3e})",
-            StepDiagnostics(total_iters, mode, rnorm, history, False, backtracks),
+            diagnostics(False),
         )
 
 
@@ -283,12 +319,12 @@ def div_preserving_projection(ctx: StepperContext, u0, degree=7) -> DiscreteFiel
     and (div u_h, psi_h) = 0 for all pressure test functions.  Scaled
     by 1/kappa, that minimization is the context's saddle system with
     the mass block alone, M/kappa u - B^T q = (u0, v)/kappa, B u = 0,
-    so it is one solve with ``ctx._fixed_data`` on ``ctx.kkt``; the
-    pressure multiplier is discarded.
+    so it is one factorization of ``ctx._fixed_data`` on ``ctx.kkt`` and
+    one solve; the pressure multiplier is discarded.
     """
     rhs_u = assembly.assemble_rhs(ctx.v_space, u0, degree=degree) / ctx.kappa
-    x = ctx.kkt.solve(ctx._fixed_data,
-                      ctx.kkt.rhs(rhs_u, np.zeros(ctx.q_space.n_dofs)))
+    x = ctx.kkt.factor(ctx._fixed_data)(
+        ctx.kkt.rhs(rhs_u, np.zeros(ctx.q_space.n_dofs)))
     return DiscreteField(ctx.v_space, ctx.kkt.split(x)[0])
 
 

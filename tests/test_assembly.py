@@ -343,8 +343,8 @@ def test_solve_saddle_stokes():
         [np.ones(len(X)), X[:, 0] * X[:, 1]]))
     Acoo = A.tocoo()
     sys = SaddleSystem([(Acoo.row, Acoo.col)], B, w, bdofs)
-    u, q = sys.split(sys.solve(sys.base + sys.scatter(0, Acoo.data),
-                               sys.rhs(f, np.zeros(qs.n_dofs))))
+    u, q = sys.split(sys.factor(sys.base + sys.scatter(0, Acoo.data))(
+        sys.rhs(f, np.zeros(qs.n_dofs))))
     assert np.max(np.abs(u[bdofs])) < 1e-14
     assert abs(w @ q) < 1e-12 * (1.0 + np.linalg.norm(q))
     # every row of B u = 0 holds, the pinned one included
@@ -358,7 +358,7 @@ def test_solve_saddle_singular_raises():
     B = sparse.csr_matrix((nq, nu))
     sys = SaddleSystem([], B, np.zeros(nq), np.array([], dtype=np.int64))
     with pytest.raises(LinearSolveError):
-        sys.solve(sys.base, sys.rhs(np.zeros(nu), np.zeros(nq)))
+        sys.factor(sys.base)(sys.rhs(np.zeros(nu), np.zeros(nq)))
 
 
 def test_stepper_factorization_fill(monkeypatch):
@@ -378,7 +378,7 @@ def test_stepper_factorization_fill(monkeypatch):
     U = 0.1 * np.random.default_rng(4).standard_normal(vs.n_dofs)
     U[ctx.bdofs] = 0.0
     rhs = ctx.kkt.rhs(np.ones(vs.n_dofs), np.zeros(qs.n_dofs))
-    ctx._solve(U, ctx._fixed_data, "newton", rhs)
+    ctx._factor(U, ctx._fixed_data, "newton")(rhs)
     assert len(fills) == 2  # the ordering, then the static-pivot solve
     assert max(fills) < 200_000
 
@@ -631,7 +631,7 @@ def test_pinned_solve_matches_augmented(pair):
     v[ctx.bdofs] = 0.0
     # divergence data of a boundary-vanishing field sums to zero
     rhs = ctx.kkt.rhs(rng.standard_normal(nu), ctx.B @ v)
-    u, q = ctx.kkt.split(ctx.kkt.solve(data, rhs))
+    u, q = ctx.kkt.split(ctx.kkt.factor(data)(rhs))
     ref = spsolve(ref_augmented_matrix(A, ctx.B, ctx.w, ctx.bdofs),
                   np.append(rhs, 0.0))
     u_ref, q_ref = ref[:nu], ref[nu : nu + nq]

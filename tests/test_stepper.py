@@ -27,6 +27,7 @@ from pfluid.stepper import (
     Trajectory,
     run_simulation,
 )
+from pfluid.verification import forcing_from, manufactured_default
 
 
 def mini_spaces(n):
@@ -112,8 +113,8 @@ def test_p2_matches_independent_linear_stepper():
         F = assemble_rhs(vs, lambda X, _t=t: f(_t, X))
         A = (M / k + E + N).tocoo()
         sys = assembly.SaddleSystem([(A.row, A.col)], B, w, bdofs)
-        U, Q = sys.split(sys.solve(sys.base + sys.scatter(0, A.data),
-                                   sys.rhs(F + M @ U / k, np.zeros(qs.n_dofs))))
+        U, Q = sys.split(sys.factor(sys.base + sys.scatter(0, A.data))(
+            sys.rhs(F + M @ U / k, np.zeros(qs.n_dofs))))
         scale = 1.0 + np.linalg.norm(U)
         assert np.linalg.norm(U - traj.velocities[m]) < 1e-9 * scale
 
@@ -240,9 +241,81 @@ def test_static_pivot_failure_falls_back_to_partial_pivoting(
     scale = 1.0 + np.linalg.norm(U_ref)
     assert np.linalg.norm(U - U_ref) < 1e-12 * scale
     warnings = [r for r in caplog.records if r.name == "pfluid.assembly"]
-    assert len(warnings) == diag.iterations
+    # each static-pivot LU is rejected once and refactored once
+    assert 2 * len(warnings) == diag.factorizations == 2 * diag_ref.factorizations
     assert all(r.levelname == "WARNING" and "relative residual" in r.getMessage()
                for r in warnings)
+
+
+@pytest.mark.parametrize("pair", ["MINI", "TH"])
+def test_smooth_forced_steps_factor_once(pair):
+    """On a smooth forced run the first LU of a step carries its chord
+    iterations to convergence: one factorization per step."""
+    ms = manufactured_default()
+    model = StressModel(1.8, 0.1)
+    vel, pre = element_pair(pair)
+    mesh = unit_square_mesh(8)
+    vs, qs = FESpace(mesh, vel, n_components=2), FESpace(mesh, pre)
+    traj = run_simulation(vs, qs, model, TimeGrid(0.5, 16),
+                          lambda X: ms.u(0.0, X), forcing_from(ms, model))
+    assert all(d.converged and d.mode == "newton" for d in traj.diagnostics)
+    assert [d.factorizations for d in traj.diagnostics] == [1] * 16
+    assert max(d.iterations for d in traj.diagnostics) > 1
+
+
+@pytest.mark.parametrize("failure", ["reversed", "raises", "halved"])
+def test_failed_chord_direction_refactors(monkeypatch, failure):
+    """A chord direction rejected at full length, or whose solve raises,
+    is followed by a fresh factorization at the same iterate, and the try
+    is no iteration.  An accepted chord iteration that contracts the
+    residual by less than CHORD_CONTRACTION drops the LU, so the next
+    iterate factors afresh."""
+    vs, qs = mini_spaces(3)
+    model = StressModel(1.6, 0.1)
+    grid = TimeGrid(0.2, 4)
+    traj = run_simulation(vs, qs, model, grid, bump)
+    U_prev, Q_prev, t = traj.velocities[1], traj.pressures[1], grid.times()[2]
+    ctx = StepperContext(vs, qs, model, grid.kappa)
+    U_ref, _, diag_ref = ctx.step(U_prev, Q_prev, t)
+    assert diag_ref.iterations > diag_ref.factorizations  # chords were taken
+
+    real_factor = assembly.SaddleSystem.factor
+    calls = []  # (solver index, solve index on that solver, rhs)
+
+    def factor(system, data):
+        solve = real_factor(system, data)
+        index = len({c[0] for c in calls})
+
+        def sabotaged(rhs):
+            n = sum(1 for c in calls if c[0] == index)
+            calls.append((index, n, rhs.copy()))
+            if n == 0:
+                return solve(rhs)
+            if failure == "raises":
+                raise assembly.LinearSolveError("chord solve failed")
+            return (-1.0 if failure == "reversed" else 0.5) * solve(rhs)
+        return sabotaged
+
+    monkeypatch.setattr(assembly.SaddleSystem, "factor", factor)
+    U, _, diag = ctx.step(U_prev, Q_prev, t)
+    assert diag.converged and diag.mode == "newton"
+    scale = 1.0 + np.linalg.norm(U_ref)
+    assert np.linalg.norm(U - U_ref) < 1e-10 * scale
+    chords = [i for i, c in enumerate(calls) if c[1] > 0]
+    assert chords
+    for i in chords:
+        assert calls[i][1] == 1  # no LU serves a second chord
+        nxt = calls[i + 1]
+        assert nxt[0] == calls[i][0] + 1 and nxt[1] == 0
+        same_iterate = np.array_equal(nxt[2], calls[i][2])
+        assert same_iterate == (failure != "halved")
+    assert diag.factorizations == calls[-1][0] + 1
+    if failure == "halved":
+        assert diag.iterations == len(calls)
+    else:
+        assert diag.iterations == len(calls) - len(chords)
+        assert diag.backtracks == 0
+    assert len(diag.residual_history) == diag.iterations + 1
 
 
 def test_run_orders_one_saddle_pattern(monkeypatch, caplog):
