@@ -8,11 +8,11 @@ matmul of the weighted stress with the gradient rows
 one matmul with the basis table.  Cell vectors are summed into global
 vectors with ``np.bincount`` on ``local_vector_dofs().ravel()``.  Mass,
 stiffness and divergence, assembled once per space, are two-operand
-einsums scattered into scipy.sparse matrices.  The stress linearization
-and the convection return element matrices of shape
+einsums scattered into scipy.sparse matrices.  The stress linearization,
+the convection and ``local_mass`` return element matrices of shape
 (n_cells, d*n_local, d*n_local) on ``FESpace.local_vector_dofs``;
-``local_matvec`` applies them to a vector without assembling, and
-``global_matrix`` scatters them when a sparse matrix is wanted.
+``local_matvec`` applies them to a vector without assembling, and the
+saddle system takes them as they are.
 
 The stress linearization uses the closed form of the derivative of
 S(P) = (delta + |sym P|)^(p-2) sym P,
@@ -49,21 +49,26 @@ boundary.  After the solve q is shifted by a constant to zero mean,
 w @ q = 0 with w the pressure-basis means, which leaves the momentum
 equations unchanged.
 
-``SaddleSystem`` builds the CSC pattern of this matrix once, with a
-scatter map for each source of A-block entries, so refilling the matrix
-is one ``np.bincount`` per source.  The pattern is stored in a
-minimum-degree order of the structure of K + K^T (K the whole matrix),
-computed once per pattern by a factorization with a dominant diagonal.
-Its ``factor`` is the one factor-and-check routine: the Newton and
-Picard iterations and the initial projection (``stepper``) all use it,
-on the one system a run builds.  ``factor(data)`` factors in the stored
-order with static (diagonal) pivoting and returns a solver that can be
-called with any number of right-hand sides.  Every call checks that the
-solution is finite and that ||K x - b|| <= ``RESIDUAL_TOL`` ||b|| for
-the factored K, and otherwise refactors K once with COLAMD and partial
-pivoting, logging a WARNING, and keeps that LU for later calls;
-LinearSolveError is raised when the check fails on it too.  Every
-factorization goes through the module attribute ``splu``.
+``SaddleSystem`` factors this matrix with the velocity dofs interior
+to a cell (the MINI bubble) condensed out: it takes the element matrices
+of the A block, eliminates each cell's interior dofs on its element KKT
+matrix with a closed-form 2 x 2 inverse, and sums the condensed element
+matrices into a P1-P1 (MINI) or unchanged (Taylor-Hood) KKT pattern.
+That pattern is built once, with a scatter map per source of entries,
+and stored in a minimum-degree order of the structure of K + K^T (K the
+condensed matrix), computed once per pattern by a factorization with a
+dominant diagonal.  Its ``factor`` is the one factor-and-check routine:
+the Newton and Picard iterations and the initial projection
+(``stepper``) all use it, on the one system a run builds.
+``factor(A_local)`` condenses, factors in the stored order with static
+(diagonal) pivoting and returns a solver on the full unknowns that can
+be called with any number of right-hand sides.  Every call condenses the
+rhs, checks that the condensed solution is finite and that
+||K x - b|| <= ``RESIDUAL_TOL`` ||b|| for the factored K, and otherwise
+refactors K once with COLAMD and partial pivoting, logging a WARNING,
+and keeps that LU for later calls; LinearSolveError is raised when the
+check fails on it too.  The interior dofs are then recovered cell by
+cell.  Every factorization goes through the module attribute ``splu``.
 """
 
 from __future__ import annotations
@@ -104,17 +109,32 @@ def _scatter(local, row_dofs, col_dofs, shape):
     return mat.tocsr()
 
 
-def assemble_mass(space, degree=None):
-    """Mass matrix; block-diagonal over components for vector spaces."""
+def _cell_mass(space, degree):
     if degree is None:
         degree = 2 * space.element.degree + 1
     _, phi, _, _ = space.tabulation(degree)
-    wd = space.cell_weights(degree)
-    local = np.einsum("cq,qa,qb->cab", wd, phi, phi)
-    M = _scatter(local, space.cell_dofs, space.cell_dofs, (space.n_scalar, space.n_scalar))
+    return np.einsum("cq,qa,qb->cab", space.cell_weights(degree), phi, phi)
+
+
+def assemble_mass(space, degree=None):
+    """Mass matrix; block-diagonal over components for vector spaces."""
+    M = _scatter(_cell_mass(space, degree), space.cell_dofs, space.cell_dofs,
+                 (space.n_scalar, space.n_scalar))
     if space.n_components == 1:
         return M
     return sparse.block_diag([M] * space.n_components, format="csr")
+
+
+def local_mass(space, degree=None):
+    """Element mass matrices in the layout of ``assemble_stress``: the
+    scalar cell mass in every component's diagonal block."""
+    mass = _cell_mass(space, degree)
+    nc, nloc, _ = mass.shape
+    k = space.n_components
+    local = np.zeros((nc, k, nloc, k, nloc))
+    for i in range(k):
+        local[:, i, :, i, :] = mass
+    return local.reshape(nc, k * nloc, k * nloc)
 
 
 def assemble_stiffness(space, degree=None):
@@ -130,20 +150,24 @@ def assemble_stiffness(space, degree=None):
     return sparse.block_diag([K] * space.n_components, format="csr")
 
 
-def assemble_divergence(v_space, q_space, degree=None):
-    """Matrix of (psi_e, div v); shape (pressure dofs, velocity dofs)."""
+def _cell_divergence(v_space, q_space, degree=None):
+    """Element matrices of (psi_e, div v), shape (n_cells, pressure
+    n_local, d*n_local) on ``q_space.cell_dofs`` and
+    ``v_space.local_vector_dofs()``."""
     if degree is None:
         degree = v_space.element.degree + q_space.element.degree + 1
     _, psi, _, _ = q_space.tabulation(degree)
     _, _, gphys, _ = v_space.tabulation(degree)
     wd = v_space.cell_weights(degree)
-    # (psi_e, d_i phi_b) goes to column i*n_scalar + b
+    # (psi_e, d_i phi_b) goes to local column i*n_local + b
     local = np.einsum("cq,qe,cqbi->ceib", wd, psi, gphys)
-    nc = v_space.mesh.n_cells
-    d = v_space.mesh.dim
-    cols = v_space.local_vector_dofs()
-    local = local.reshape(nc, psi.shape[1], d * v_space.n_local)
-    return _scatter(local, q_space.cell_dofs, cols, (q_space.n_dofs, v_space.n_dofs))
+    return local.reshape(len(local), psi.shape[1], -1)
+
+
+def assemble_divergence(v_space, q_space, degree=None):
+    """Matrix of (psi_e, div v); shape (pressure dofs, velocity dofs)."""
+    return _scatter(_cell_divergence(v_space, q_space, degree), q_space.cell_dofs,
+                    v_space.local_vector_dofs(), (q_space.n_dofs, v_space.n_dofs))
 
 
 def pressure_mean_vector(q_space, degree=None):
@@ -172,14 +196,9 @@ def assemble_rhs(space, f, degree=5):
     return _scatter_vector(space.local_vector_dofs(), cell, space.n_dofs)
 
 
-def global_matrix(v_space, local):
-    """Sparse matrix of vector element matrices on local_vector_dofs()."""
-    dofs = v_space.local_vector_dofs()
-    return _scatter(local, dofs, dofs, (v_space.n_dofs, v_space.n_dofs))
-
-
 def local_matvec(v_space, local, coeffs):
-    """global_matrix(v_space, local) @ coeffs without building the matrix."""
+    """Product of the matrix of vector element matrices on
+    ``local_vector_dofs()`` with coeffs, without assembling it."""
     dofs = v_space.local_vector_dofs()
     x = np.asarray(coeffs, dtype=float)[dofs]
     return _scatter_vector(dofs, np.matmul(local, x[:, :, None]), v_space.n_dofs)
@@ -228,7 +247,7 @@ def assemble_stress(v_space, coeffs, model: StressModel, degree=5, jacobian="new
     Returns (residual, local): the residual vector and None for
     jacobian=None, else None and the element matrices of the
     linearization, shape (n_cells, d*n_local, d*n_local) on
-    ``v_space.local_vector_dofs()``; see ``global_matrix``.
+    ``v_space.local_vector_dofs()``.
     """
     grad = v_space.grad_at_qp(coeffs, degree)
     _, _, gphys, _ = v_space.tabulation(degree)
@@ -294,48 +313,105 @@ def assemble_convection(v_space, transport_coeffs, degree=None):
 
 
 class SaddleSystem:
-    """Pinned velocity/pressure KKT matrix on a pattern built and ordered once.
+    """Pinned KKT matrix with the element-interior velocity dofs condensed
+    out cell by cell, on a pattern built and ordered once.
 
-    The matrix is [A -B^T; B 0] on (u, q).  The CSC pattern holds the A
-    block's entries from every source in ``entries`` (a sequence of
-    (rows, cols) index arrays) outside the Dirichlet rows and columns, a
-    unit diagonal on the Dirichlet dofs and on pressure dof ``PINNED``,
-    and the free columns of B and -B^T outside that dof's row and
-    column.  Unknown i is stored at position ``perm[i]``, a
-    minimum-degree order of the pattern, so ``csc(data)`` is the
-    symmetrically permuted matrix; ``rhs``, ``split`` and the solvers
-    from ``factor`` use the original numbering.  A matrix on the pattern
-    is its ``data`` array: ``base`` holds the fixed blocks,
-    ``scatter(k, values)`` adds values given in the order of entries[k],
-    and ``factor(data)`` factors it.  ``factorizations`` counts the
-    ``splu`` calls of the solvers ``factor`` returned.
+    The full matrix is [A -B^T; B 0] on (u, q), with A the sum of element
+    matrices A_c on ``v_space.local_vector_dofs()``.  A cell's interior
+    velocity dofs (the MINI bubble in each component; none for P2) couple
+    to that cell alone, so they are eliminated from its element KKT
+    matrix E_c before any sparse work.  With i the interior dofs and r
+    the cell's other velocity dofs and its pressure dofs,
+
+        S_c = E_rr - E_ri A_ii^-1 E_ir,
+
+    where A_ii, the interior block of A_c, is 2 x 2 or empty and is
+    inverted in closed form.  The condensed pressure block
+    B_i A_ii^-1 B_i^T is nonzero, so static diagonal pivots stay safe
+    there.  Summed over the cells, S_c gives the condensed matrix on the
+    retained unknowns (vertex and edge velocity dofs and every pressure
+    dof), numbered in the order of ``retained``, their indices in (u, q).
+    Its CSC pattern holds the cells' velocity pairs, the nonzeros of B
+    and -B^T and the pairs that meet through an interior block, outside
+    the Dirichlet rows and columns and pressure dof ``PINNED``, which get
+    a unit diagonal instead.  Retained unknown j is stored at position
+    ``perm[j]``, a minimum-degree order of the pattern.
+
+    ``factor(A_local)`` condenses and factors; its solver maps a rhs in
+    the original (u, q) numbering, the numbering of ``rhs`` and
+    ``split``, to the full solution.  ``B``, ``w`` and ``bdofs`` are the
+    global divergence matrix, the pressure-basis means and the Dirichlet
+    velocity dofs.  ``factorizations`` and ``pivot_fallbacks`` count the
+    ``splu`` calls and the partial-pivot refactors of the solvers
+    ``factor`` returned; ``fill_nnz`` is the ``nnz`` of the last LU (0
+    when that factorization failed).
     """
 
-    def __init__(self, entries, B, w, bdofs):
-        B = sparse.coo_matrix(B)
-        self.nq, self.nu = B.shape
-        n = self.nu + self.nq
-        self.shape = (n, n)
-        self.w = np.asarray(w, dtype=float)
-        self.bdofs = np.asarray(bdofs, dtype=np.int64)
+    def __init__(self, v_space, q_space):
+        v_dofs = v_space.local_vector_dofs()
+        q_dofs = q_space.cell_dofs
+        self.nu, self.nq = v_space.n_dofs, q_space.n_dofs
+        B_local = _cell_divergence(v_space, q_space)
+        self.B = _scatter(B_local, q_dofs, v_dofs, (self.nq, self.nu))
+        self.w = pressure_mean_vector(q_space)
+        self.bdofs = v_space.boundary_dofs()
         self.factorizations = 0
-        free = np.ones(self.nu, dtype=bool)
-        free[self.bdofs] = False
+        self.pivot_fallbacks = 0
+        self.fill_nnz = 0
+
+        # cell dofs come last in each component's local block
+        nloc = v_space.n_local
+        interior = np.zeros((v_space.n_components, nloc), dtype=bool)
+        interior[:, nloc - v_space.element.cell_dofs :] = True
+        self._kept_loc = np.flatnonzero(~interior)
+        self._int_loc = np.flatnonzero(interior)
+        self._interior = v_dofs[:, self._int_loc]
+        # a cell's kept velocity dofs couple to its interior through A_c
+        # when it has one, its pressure dofs where B_i is nonzero
+        B_i = B_local[:, :, self._int_loc]
+        couples_v = np.full(len(self._kept_loc), len(self._int_loc) > 0)
+        couples_p = np.any(B_i != 0.0, axis=(0, 2))
+        self._coupled_loc = self._kept_loc[couples_v]
+        self._B_c = B_i[:, couples_p]
+        self._Bt_c = -np.swapaxes(self._B_c, 1, 2).copy()
+        is_retained = np.ones(self.nu + self.nq, dtype=bool)
+        is_retained[self._interior] = False
+        self.retained = np.flatnonzero(is_retained)
+        n = len(self.retained)
+        self.shape = (n, n)
+        index = np.cumsum(is_retained) - 1  # position in retained
+        # unit unknowns, and a trailing dump slot n
+        unit = np.zeros(n + 1, dtype=bool)
+        unit[index[self.bdofs]] = True
+        unit[index[self.nu + PINNED]] = True
+        unit[n] = True
+
+        # a cell's unknowns in the condensed numbering, with interior dofs
+        # and unit unknowns sent to the dump slot: its velocity dofs, and
+        # the retained unknowns that couple to its interior
+        vcell = np.full(v_dofs.shape, n)
+        vcell[:, self._kept_loc] = index[v_dofs[:, self._kept_loc]]
+        vcell = np.where(unit[vcell], n, vcell)
+        ccell = np.hstack([vcell[:, self._coupled_loc],
+                           index[self.nu + q_dofs[:, couples_p]]])
+        self._cmap = np.where(unit[ccell], n, ccell)
 
         rows, cols, keeps = [], [], []
-        for r, c in entries:
-            r = np.ravel(r)
-            c = np.ravel(c)
-            keep = free[r] & free[c]
+        for cell in (vcell, self._cmap):
+            r = np.repeat(cell, cell.shape[1], axis=1).ravel()
+            c = np.tile(cell, (1, cell.shape[1])).ravel()
+            keep = (r < n) & (c < n)
             rows.append(r[keep])
             cols.append(c[keep])
             keeps.append(keep)
-        inB = free[B.col] & (B.row != PINNED) & (B.data != 0.0)
-        bq, bu, bval = B.row[inB] + self.nu, B.col[inB], B.data[inB]
-        unit = np.append(self.bdofs, self.nu + PINNED)
-        rows = np.concatenate(rows + [unit, bu, bq])
-        cols = np.concatenate(cols + [unit, bq, bu])
-        fixed_vals = np.concatenate([np.ones(len(unit)), -bval, bval])
+        B = self.B.tocoo()
+        bu, bq = index[B.col], index[self.nu + B.row]
+        inB = is_retained[B.col] & ~unit[bu] & (B.row != PINNED) & (B.data != 0.0)
+        bu, bq, bval = bu[inB], bq[inB], B.data[inB]
+        diag = np.flatnonzero(unit[:n])
+        rows = np.concatenate(rows + [diag, bu, bq])
+        cols = np.concatenate(cols + [diag, bq, bu])
+        fixed_vals = np.concatenate([np.ones(len(diag)), -bval, bval])
 
         self.perm = _minimum_degree_order(rows, cols, n)
         keys = self.perm[cols].astype(np.int64) * n + self.perm[rows]
@@ -343,7 +419,7 @@ class SaddleSystem:
         self.nnz = len(uniq)
         self.indices = (uniq % n).astype(np.int32)
         self.indptr = np.searchsorted(uniq // n, np.arange(n + 1)).astype(np.int32)
-        # entries in Dirichlet rows or columns go to a trailing dump slot
+        # entries with a row or column in the dump slot go to slot nnz
         self._maps = []
         start = 0
         for keep in keeps:
@@ -352,32 +428,51 @@ class SaddleSystem:
             m[keep] = pos[start:stop]
             self._maps.append(m)
             start = stop
-        self.base = np.bincount(pos[start:], weights=fixed_vals, minlength=self.nnz)
+        self._base = np.bincount(pos[start:], weights=fixed_vals, minlength=self.nnz)
 
-    def scatter(self, k, values):
-        """Data array of the values of source k, summed into the pattern."""
+    def _pattern_data(self, k, values):
+        """Data array of the cell values of source k (0: the velocity
+        block, 1: the interior coupling), summed into the pattern."""
         out = np.bincount(self._maps[k], weights=np.ravel(values),
                           minlength=self.nnz + 1)
         return out[:-1]
 
-    def csc(self, data):
-        return sparse.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
+    def _condense(self, A_local):
+        """(K, [A_ii^-1; E_ri A_ii^-1], A_ii^-1 E_ir) for the element
+        matrices A_local: K the condensed matrix in stored order, the
+        rest per cell, on the retained unknowns that couple to the
+        interior."""
+        ii, kc = self._int_loc, self._coupled_loc
+        inv_ii = _invert_blocks(A_local[:, ii[:, None], ii])
+        E_ri = np.concatenate([A_local[:, kc[:, None], ii], self._B_c], axis=1)
+        E_ir = np.concatenate([A_local[:, ii[:, None], kc], self._Bt_c], axis=2)
+        Y = np.matmul(E_ri, inv_ii)
+        data = (self._base + self._pattern_data(0, A_local)
+                - self._pattern_data(1, np.matmul(Y, E_ir)))
+        K = sparse.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
+        return K, np.concatenate([inv_ii, Y], axis=1), np.matmul(inv_ii, E_ir)
 
-    def factor(self, data):
-        """Factor the matrix with the given data; returns a solver.
+    def factor(self, A_local):
+        """Condense and factor the matrix of the element velocity blocks
+        A_local, shape (n_cells, d*n_local, d*n_local) on
+        ``local_vector_dofs()``; returns a solver.
 
-        The solver maps a rhs to the solution x, as often as it is
-        called.  The pinned pressure's rhs entry is taken as 0, and the
-        pressure of the solution is shifted to zero mean (w @ q = 0).
-        The first LU keeps the pattern's order and pivots on the
-        diagonal.  When a solution is not finite or its relative
-        residual against this matrix exceeds ``RESIDUAL_TOL``, the
-        matrix is refactored with COLAMD and partial pivoting, with a
-        WARNING on the ``pfluid.assembly`` logger, and that LU serves
-        the later calls.  Raises LinearSolveError when a solve with it
-        fails the check too.
+        Raises LinearSolveError when an interior block A_ii is singular
+        or not finite.  The solver maps a full rhs (u, q) to the full
+        solution, as often as it is called: it condenses the rhs, solves
+        the condensed system, recovers the interior dofs cell by cell and
+        shifts the pressure to zero mean (w @ q = 0).  The pinned
+        pressure's rhs entry is taken as 0.  The first LU keeps the
+        pattern's order and pivots on the diagonal.  When a condensed
+        solution is not finite or its relative residual against the
+        condensed matrix exceeds ``RESIDUAL_TOL``, that matrix is
+        refactored with COLAMD and partial pivoting, with a WARNING on
+        the ``pfluid.assembly`` logger, and that LU serves the later
+        calls.  Raises LinearSolveError when a solve with it fails the
+        check too.  The solver's ``K`` is the condensed matrix in stored
+        order.
         """
-        return _SaddleSolver(self, self.csc(data))
+        return _SaddleSolver(self, *self._condense(A_local))
 
     def rhs(self, rhs_u, rhs_q):
         f = np.array(rhs_u, dtype=float)
@@ -386,6 +481,22 @@ class SaddleSystem:
 
     def split(self, x):
         return x[: self.nu], x[self.nu :]
+
+
+def _invert_blocks(A):
+    """Inverses of a stack of 2 x 2 or empty blocks, in closed form.
+
+    Raises LinearSolveError when a block is not finite or its
+    determinant vanishes to rounding.
+    """
+    if A.shape[-1] == 0:
+        return A.copy()
+    a, b, c, d = A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1]
+    det = a * d - b * c
+    # false for nan and inf too
+    if not np.all(np.abs(det) > 1e-14 * (np.abs(a * d) + np.abs(b * c))):
+        raise LinearSolveError("singular or non-finite interior block")
+    return np.stack([d, -b, -c, a], axis=-1).reshape(-1, 2, 2) / det[:, None, None]
 
 
 def _minimum_degree_order(rows, cols, n):
@@ -404,20 +515,25 @@ def _minimum_degree_order(rows, cols, n):
 
 
 class _SaddleSolver:
-    """LU of one matrix of a ``SaddleSystem``, checked on every solve."""
+    """LU of one condensed matrix of a ``SaddleSystem``, checked on every
+    solve, with the per-cell factors that recover the interior dofs."""
 
-    def __init__(self, system, K):
+    def __init__(self, system, K, W, X):
         self.system = system
         self.K = K
+        self.W = W  # [A_ii^-1; E_ri A_ii^-1] per cell
+        self.X = X  # A_ii^-1 E_ir per cell
         self.partial = False
         self.lu = self._factor(permc_spec="NATURAL", diag_pivot_thresh=0.0)
 
     def _factor(self, **options):
         self.system.factorizations += 1
         try:
-            return splu(self.K, **options)
+            lu = splu(self.K, **options)
         except RuntimeError:  # SuperLU signals a singular factor this way
-            return None
+            lu = None
+        self.system.fill_nnz = getattr(lu, "nnz", 0)
+        return lu
 
     def _solve(self, b):
         """(y, ||K y - b|| / ||b||); the residual is inf without a factor
@@ -432,19 +548,32 @@ class _SaddleSolver:
 
     def __call__(self, rhs):
         kkt = self.system
-        b = np.empty(kkt.shape[0])
-        b[kkt.perm] = rhs
-        b[kkt.perm[kkt.nu + PINNED]] = 0.0
+        n = kkt.shape[0]
+        x = np.array(rhs, dtype=float)
+        x[kkt.nu + PINNED] = 0.0
+        # b_r - E_ri A_ii^-1 b_i, cell by cell
+        ni = kkt._interior.shape[1]
+        Wb = np.matmul(self.W, x[kkt._interior][:, :, None])
+        z = Wb[:, :ni]
+        shift = np.bincount(kkt._cmap.ravel(), weights=Wb[:, ni:].ravel(),
+                            minlength=n + 1)
+        b = np.empty(n)
+        b[kkt.perm] = x[kkt.retained] - shift[:n]
         y, rel = self._solve(b)
         if not rel <= RESIDUAL_TOL and not self.partial:
             log.warning("static-pivot LU rejected (relative residual %.3g); "
                         "refactoring with partial pivoting", rel)
+            kkt.pivot_fallbacks += 1
             self.lu = self._factor(permc_spec="COLAMD", diag_pivot_thresh=1.0)
             self.partial = True
             y, rel = self._solve(b)
         if not rel <= RESIDUAL_TOL:
             raise LinearSolveError(f"sparse LU failed (relative residual {rel:.3g})")
-        x = y[kkt.perm]
+        xr = y[kkt.perm]
+        x[kkt.retained] = xr
+        # u_i = A_ii^-1 (b_i - E_ir x_r), with unit unknowns read as 0
+        x_cell = np.append(xr, 0.0)[kkt._cmap]
+        x[kkt._interior] = (z - np.matmul(self.X, x_cell[:, :, None]))[:, :, 0]
         q = x[kkt.nu :]
         q -= (kkt.w @ q) / kkt.w.sum()
         return x

@@ -126,24 +126,6 @@ class StressModel:
         radial = np.where(t > 0.0, radial, 0.0)
         return A, g, radial
 
-    def stress_jacobian(self, P):
-        """Derivative of the stress in P, shape (..., d, d, d, d).
-
-        Index convention: J[..., i, j, k, l] = d S_ij / d P_kl.  The
-        result is symmetric under (i,j,k,l) -> (k,l,i,j).  Built from
-        ``jacobian_factors``, which raises DegenerateGradientError at
-        sym P = 0 when delta = 0.
-        """
-        A, g, radial = self.jacobian_factors(P)
-        d = A.shape[-1]
-        eye = np.eye(d)
-        sym4 = 0.5 * (
-            np.einsum("ik,jl->ijkl", eye, eye) + np.einsum("il,jk->ijkl", eye, eye)
-        )
-        outer = np.einsum("...ij,...kl->...ijkl", A, A)
-        J = g[..., None, None, None, None] * sym4 + radial[..., None, None, None, None] * outer
-        return J
-
     # -- scalar N-function ---------------------------------------------
 
     def _weight(self, t):

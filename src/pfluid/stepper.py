@@ -13,10 +13,14 @@ method (Kelley, Iterative Methods for Linear and Nonlinear Equations,
 SIAM 1995, ch. 5): a step factors its KKT matrix once and reuses that
 LU for its later iterations while each accepted iteration contracts the
 residual by ``CHORD_CONTRACTION``; see ``StepperContext.step``.  The LU
-never outlives the step.  The initial field is the divergence-preserving
-projection of the data, solved on the same pinned saddle system
-(``StepperContext.kkt``) as every step, so a run builds and orders one
-KKT pattern.
+never outlives the step.  A step hands the velocity block of its KKT
+matrix to ``assembly.SaddleSystem.factor`` as element matrices, so the
+MINI bubbles are condensed out cell by cell and only the P1-P1 system is
+factored; the solver returns the full velocity, and the residual that
+drives Newton stays on the full space.  The initial field is the
+divergence-preserving projection of the data, solved on the same pinned
+saddle system (``StepperContext.kkt``) as every step, so a run builds and
+orders one KKT pattern.
 """
 
 from __future__ import annotations
@@ -75,22 +79,35 @@ class SolverOptions:
 
 @dataclass
 class StepDiagnostics:
+    """What one step did.
+
+    ``factorizations`` counts its ``splu`` calls, partial-pivot refactors
+    included, and ``pivot_fallbacks`` those refactors alone: static-pivot
+    LUs whose solve failed the residual check.  ``fill_nnz`` is the
+    ``nnz`` of the step's last LU, 0 when it factored nothing: SuperLU's
+    own count of its stored L and U entries, read without building L and
+    U.  It includes the padding of the supernode blocks, so it can exceed
+    nnz(L) + nnz(U).
+    """
+
     iterations: int
     mode: str
     residual_norm: float
     residual_history: list
     converged: bool
     backtracks: int = 0
-    factorizations: int = 0  # splu calls, partial-pivot refactors included
+    factorizations: int = 0
+    pivot_fallbacks: int = 0
+    fill_nnz: int = 0
 
 
 class StepperContext:
     """Shared matrices and options for a sequence of steps.
 
-    The convection N of a step stays as element matrices: they are
-    scattered into the KKT data once per step, and N @ U in the residual
-    is an element matvec (``assembly.local_matvec``), so no sparse N is
-    built.
+    A step hands ``kkt.factor`` element matrices: M/kappa, the
+    convection N of the step and the stress linearization, summed cell
+    by cell.  N @ U in the residual is an element matvec
+    (``assembly.local_matvec``), so no sparse N is built.
     """
 
     def __init__(self, v_space, q_space, model, kappa, options=None):
@@ -100,20 +117,13 @@ class StepperContext:
         self.kappa = float(kappa)
         self.opts = options or SolverOptions()
         self.M = assembly.assemble_mass(v_space)
-        self.B = assembly.assemble_divergence(v_space, q_space)
-        self.w = assembly.pressure_mean_vector(q_space)
-        self.bdofs = v_space.boundary_dofs()
+        self.kkt = assembly.SaddleSystem(v_space, q_space)
+        self.B, self.w, self.bdofs = self.kkt.B, self.kkt.w, self.kkt.bdofs
         self._free = np.ones(v_space.n_dofs)
         self._free[self.bdofs] = 0.0
-        # KKT pattern: every velocity pair sharing a cell, plus the fixed blocks
-        dofs = v_space.local_vector_dofs()
-        nl = dofs.shape[1]
-        M = self.M.tocoo()
-        self.kkt = assembly.SaddleSystem(
-            [(np.repeat(dofs, nl, axis=1), np.tile(dofs, (1, nl))), (M.row, M.col)],
-            self.B, self.w, self.bdofs,
-        )
-        self._fixed_data = self.kkt.base + self.kkt.scatter(1, M.data / self.kappa)
+        # M/kappa as element matrices, the part of every KKT matrix that
+        # stays fixed over the run
+        self._fixed_data = assembly.local_mass(v_space) / self.kappa
 
     def _residual(self, U, Q, U_prev, N_local, F):
         s, _ = assembly.assemble_stress(
@@ -125,12 +135,13 @@ class StepperContext:
         return np.concatenate([Ru, self.B @ U])
 
     def _factor(self, U, step_data, mode):
-        """Solver for the step's matrix plus the stress linearization at U."""
+        """Solver for the step's element matrices plus the stress
+        linearization at U."""
         _, K = assembly.assemble_stress(
             self.v_space, U, self.model, degree=self.opts.quad_degree,
             jacobian=mode, jac_delta_floor=self.opts.jac_delta_floor,
         )
-        return self.kkt.factor(step_data + self.kkt.scatter(0, K))
+        return self.kkt.factor(step_data + K)
 
     def step(self, U_prev, Q_prev, t_m, f=None, initial=None):
         """Advance one step; returns (U, Q, StepDiagnostics).
@@ -153,7 +164,7 @@ class StepperContext:
         else:
             F = np.zeros(nu)
         N_local = assembly.assemble_convection(self.v_space, U_prev)
-        step_data = self._fixed_data + self.kkt.scatter(0, N_local)
+        step_data = self._fixed_data + N_local
         rhs_u = F + self.M @ U_prev / self.kappa
         tol_eff = max(opts.tol * float(np.linalg.norm(rhs_u)), opts.abs_tol)
 
@@ -168,7 +179,8 @@ class StepperContext:
 
         history = []
         backtracks = 0
-        factored = self.kkt.factorizations
+        kkt = self.kkt
+        factored, fallbacks = kkt.factorizations, kkt.pivot_fallbacks
         R = self._residual(U, Q, U_prev, N_local, F)
         rnorm = float(np.linalg.norm(R))
         history.append(rnorm)
@@ -182,8 +194,10 @@ class StepperContext:
             return x[:nu], x[nu:]
 
         def diagnostics(converged):
+            lus = kkt.factorizations - factored
             return StepDiagnostics(total_iters, mode, rnorm, history, converged,
-                                   backtracks, self.kkt.factorizations - factored)
+                                   backtracks, lus, kkt.pivot_fallbacks - fallbacks,
+                                   kkt.fill_nnz if lus else 0)
 
         x = np.concatenate([U, Q])
         while total_iters < opts.max_newton + opts.max_picard:
@@ -319,8 +333,9 @@ def div_preserving_projection(ctx: StepperContext, u0, degree=7) -> DiscreteFiel
     and (div u_h, psi_h) = 0 for all pressure test functions.  Scaled
     by 1/kappa, that minimization is the context's saddle system with
     the mass block alone, M/kappa u - B^T q = (u0, v)/kappa, B u = 0,
-    so it is one factorization of ``ctx._fixed_data`` on ``ctx.kkt`` and
-    one solve; the pressure multiplier is discarded.
+    so it is one factorization of ``ctx._fixed_data`` (the element
+    matrices of M/kappa) on ``ctx.kkt`` and one solve; the pressure
+    multiplier is discarded.
     """
     rhs_u = assembly.assemble_rhs(ctx.v_space, u0, degree=degree) / ctx.kappa
     x = ctx.kkt.factor(ctx._fixed_data)(

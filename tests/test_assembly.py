@@ -18,7 +18,7 @@ from pfluid.assembly import (
     assemble_rhs,
     assemble_stiffness,
     assemble_stress,
-    global_matrix,
+    local_mass,
     local_matvec,
     pressure_mean_vector,
 )
@@ -26,6 +26,8 @@ from pfluid.fespace import FESpace, element_pair, interpolate
 from pfluid.mesh import unit_square_mesh
 from pfluid.pstructure import StressModel
 from pfluid.stepper import StepperContext
+
+from fem_reference import global_matrix, stress_jacobian
 
 
 def spaces(pair, n):
@@ -278,51 +280,44 @@ def test_convection_solenoidal_oracle():
 
 # -- constraint handling and saddle solves -----------------------------
 
-def saddle_matrix(A, sys):
-    """Dense matrix of sys with A scattered in, in the original numbering."""
-    return unpermuted(sys, sys.base + sys.scatter(0, A.tocoo().data))
-
-
-def unpermuted(sys, data):
-    return sys.csc(data).toarray()[np.ix_(sys.perm, sys.perm)]
+def condensed(sys, A_local):
+    """Dense condensed matrix of sys for the element matrices A_local,
+    in the order of sys.retained."""
+    return sys.factor(A_local).K.toarray()[np.ix_(sys.perm, sys.perm)]
 
 
 def test_apply_dirichlet_matrix():
-    """Dirichlet rows and columns of A are dropped and get a unit diagonal."""
+    """Dirichlet rows and columns of the condensed matrix are dropped and
+    get a unit diagonal, and so does the pinned pressure dof."""
     vs, qs = mini_spaces(2)
-    M = assemble_mass(vs).tocoo()
-    bdofs = vs.boundary_dofs()
-    free = np.setdiff1d(np.arange(vs.n_dofs), bdofs)
-    sys = SaddleSystem([(M.row, M.col)], assemble_divergence(vs, qs),
-                       pressure_mean_vector(qs), bdofs)
-    dense = saddle_matrix(M, sys)
+    sys = SaddleSystem(vs, qs)
+    dense = condensed(sys, local_mass(vs))
+    nr = len(sys.retained) - qs.n_dofs
+    bdofs = np.searchsorted(sys.retained, vs.boundary_dofs())
+    assert np.array_equal(sys.retained[bdofs], vs.boundary_dofs())
+    free = np.setdiff1d(np.arange(nr), bdofs)
     assert np.all(dense[np.ix_(bdofs, free)] == 0.0)
     assert np.all(dense[np.ix_(free, bdofs)] == 0.0)
     np.testing.assert_array_equal(dense[np.ix_(bdofs, bdofs)],
                                   np.eye(len(bdofs)))
-    np.testing.assert_array_equal(dense[np.ix_(free, free)],
-                                  M.toarray()[np.ix_(free, free)])
     # B columns and B^T rows of constrained dofs are dropped too
-    nu = vs.n_dofs
-    assert np.all(dense[nu:, bdofs] == 0.0)
-    assert np.all(dense[bdofs, nu:] == 0.0)
+    assert np.all(dense[nr:, bdofs] == 0.0)
+    assert np.all(dense[bdofs, nr:] == 0.0)
     # the pinned pressure dof keeps only its unit diagonal
-    pin = nu + PINNED
+    pin = nr + PINNED
     np.testing.assert_array_equal(dense[pin], np.eye(len(dense))[pin])
     np.testing.assert_array_equal(dense[:, pin], np.eye(len(dense))[pin])
-    hollow = unpermuted(sys, sys.scatter(0, M.data))
-    assert np.all(hollow[bdofs, bdofs] == 0.0)
+    # the eliminated bubbles leave a nonzero pressure block
+    assert np.all(np.diag(dense)[nr:] > 0.0)
 
 
 def test_saddle_rhs_and_split():
     vs, qs = mini_spaces(2)
-    A = assemble_stiffness(vs).tocoo()
-    B = assemble_divergence(vs, qs)
-    w = pressure_mean_vector(qs)
-    sys = SaddleSystem([(A.row, A.col)], B, w, vs.boundary_dofs())
+    sys = SaddleSystem(vs, qs)
     nu, nq = vs.n_dofs, qs.n_dofs
-    assert sys.csc(sys.base).shape == (nu + nq, nu + nq)
-    np.testing.assert_array_equal(np.sort(sys.perm), np.arange(nu + nq))
+    n = len(sys.retained)
+    assert sys.shape == (n, n)
+    np.testing.assert_array_equal(np.sort(sys.perm), np.arange(n))
     rhs = sys.rhs(np.ones(nu), np.zeros(nq))
     assert rhs.shape == (nu + nq,)
     assert np.all(rhs[sys.bdofs] == 0.0)
@@ -331,20 +326,31 @@ def test_saddle_rhs_and_split():
     assert q[-1] == float(nu + nq - 1)
 
 
+@pytest.mark.parametrize("pair", ["MINI", "TH"])
+def test_condensed_size(pair):
+    """MINI condenses both bubble components of every cell away, leaving
+    P1-P1 unknowns; Taylor-Hood has no interior dofs and keeps its size."""
+    vs, qs = spaces(pair, 16)
+    sys = SaddleSystem(vs, qs)
+    nv = vs.mesh.n_vertices
+    n = {"MINI": 2 * nv + nv, "TH": vs.n_dofs + qs.n_dofs}[pair]
+    assert sys.shape == (n, n) and len(sys.retained) == n
+
+
 def test_solve_saddle_stokes():
     """Direct solve satisfies the constrained equations to solver accuracy."""
     vs, qs = mini_spaces(4)
-    A = assemble_stiffness(vs) + assemble_mass(vs)
+    _, E = assemble_stress(vs, np.zeros(vs.n_dofs), StressModel(2.0, 1.0))
+    A_local = E + local_mass(vs)
+    A = global_matrix(vs, A_local)
     B = assemble_divergence(vs, qs)
     w = pressure_mean_vector(qs)
     bdofs = vs.boundary_dofs()
     free = np.setdiff1d(np.arange(vs.n_dofs), bdofs)
     f = assemble_rhs(vs, lambda X: np.column_stack(
         [np.ones(len(X)), X[:, 0] * X[:, 1]]))
-    Acoo = A.tocoo()
-    sys = SaddleSystem([(Acoo.row, Acoo.col)], B, w, bdofs)
-    u, q = sys.split(sys.factor(sys.base + sys.scatter(0, Acoo.data))(
-        sys.rhs(f, np.zeros(qs.n_dofs))))
+    sys = SaddleSystem(vs, qs)
+    u, q = sys.split(sys.factor(A_local)(sys.rhs(f, np.zeros(qs.n_dofs))))
     assert np.max(np.abs(u[bdofs])) < 1e-14
     assert abs(w @ q) < 1e-12 * (1.0 + np.linalg.norm(q))
     # every row of B u = 0 holds, the pinned one included
@@ -354,11 +360,27 @@ def test_solve_saddle_stokes():
 
 
 def test_solve_saddle_singular_raises():
-    nu, nq = 4, 2
-    B = sparse.csr_matrix((nq, nu))
-    sys = SaddleSystem([], B, np.zeros(nq), np.array([], dtype=np.int64))
+    # no velocity block: [0 -B^T; B 0] has more velocity than pressure dofs
+    vs, qs = spaces("TH", 2)
+    sys = SaddleSystem(vs, qs)
+    A = np.zeros((vs.mesh.n_cells, 2 * vs.n_local, 2 * vs.n_local))
     with pytest.raises(LinearSolveError):
-        sys.factor(sys.base)(sys.rhs(np.zeros(nu), np.zeros(nq)))
+        sys.factor(A)(sys.rhs(np.zeros(vs.n_dofs), np.zeros(qs.n_dofs)))
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan])
+def test_singular_interior_block_raises(bad):
+    """A cell whose bubble block is zero or not finite stops the
+    condensation before any factorization."""
+    vs, qs = mini_spaces(3)
+    sys = SaddleSystem(vs, qs)
+    A = local_mass(vs)
+    bubbles = [vs.n_local - 1, 2 * vs.n_local - 1]
+    A[5][np.ix_(bubbles, bubbles)] = 0.0
+    A[5, bubbles[0], bubbles[0]] = bad
+    with pytest.raises(LinearSolveError):
+        sys.factor(A)
+    assert sys.factorizations == 0
 
 
 def test_stepper_factorization_fill(monkeypatch):
@@ -428,7 +450,7 @@ def ref_stress_local(vs, c, model, jacobian, degree=5):
     floor = 1e-8 * min(1.0, t.max()) if t.max() > 0.0 else 1e-8
     if jacobian == "newton":
         jmodel = model if model.delta >= floor else StressModel(model.p, floor)
-        J4 = jmodel.stress_jacobian(grad)
+        J4 = stress_jacobian(jmodel, grad)
         local = np.einsum("cq,cqsltm,cqal,cqbm->csatb", wd, J4, gphys, gphys)
     else:
         wg = wd * np.maximum(model.delta + t, floor) ** (model.p - 2.0)
@@ -593,7 +615,8 @@ def test_convection_matches_reference(pair):
 
 
 def step_operator(pair, n):
-    """StepperContext at a random iterate, with M/kappa + N + K as a matrix."""
+    """StepperContext at a random iterate, with M/kappa + N + K as element
+    matrices (the data of ``kkt.factor``) and as a global matrix."""
     vs, qs = spaces(pair, n)
     rng = np.random.default_rng(9)
     model = StressModel(1.8, 0.1)
@@ -602,23 +625,41 @@ def step_operator(pair, n):
     U = rng.standard_normal(vs.n_dofs)
     N = assemble_convection(vs, U_prev)
     _, K = assemble_stress(vs, U, model, jacobian="newton")
-    data = ctx._fixed_data + ctx.kkt.scatter(0, N) + ctx.kkt.scatter(0, K)
+    data = ctx._fixed_data + N + K
     A = (ctx.M / ctx.kappa + ref_convection(vs, U_prev)
          + global_matrix(vs, ref_stress_local(vs, U, model, "newton")))
     return ctx, data, A
 
 
+def ref_interior(vs):
+    """Global velocity dofs of the cell basis functions: the last
+    n_cells * cell_dofs scalar dofs of every component."""
+    ncell = vs.mesh.n_cells * vs.element.cell_dofs
+    return np.concatenate([np.arange((i + 1) * vs.n_scalar - ncell, (i + 1) * vs.n_scalar)
+                           for i in range(vs.n_components)])
+
+
+def ref_condensed(K, interior):
+    """Schur complement of the dense K onto every unknown but interior,
+    with the kept index set."""
+    kept = np.setdiff1d(np.arange(len(K)), interior)
+    K_ki = K[np.ix_(kept, interior)]
+    K_ii = K[np.ix_(interior, interior)]
+    S = K[np.ix_(kept, kept)] - K_ki @ np.linalg.solve(K_ii, K[np.ix_(interior, kept)])
+    return S, kept
+
+
 @pytest.mark.parametrize("pair", ["MINI", "TH"])
 def test_cached_kkt_matches_bmat_build(pair):
-    """The refilled pattern equals the Dirichlet/bmat build of M/kappa + N + K."""
+    """The refilled pattern holds the Schur complement of the
+    Dirichlet/bmat build of M/kappa + N + K, bubbles eliminated."""
     ctx, data, A = step_operator(pair, 4)
-    perm = ctx.kkt.perm
-    got = ctx.kkt.csc(data)[perm][:, perm].tocsc()
-    got.sort_indices()
-    ref = ref_pinned_matrix(A, ctx.B, ctx.bdofs)
-    np.testing.assert_array_equal(got.indptr, ref.indptr)
-    np.testing.assert_array_equal(got.indices, ref.indices)
-    assert rel_err(got.data, ref.data) < 1e-13
+    ref, kept = ref_condensed(ref_pinned_matrix(A, ctx.B, ctx.bdofs).toarray(),
+                              ref_interior(ctx.v_space))
+    np.testing.assert_array_equal(ctx.kkt.retained, kept)
+    assert rel_err(condensed(ctx.kkt, data), ref) < 1e-13
+    if pair == "TH":  # nothing to eliminate: the bmat pattern itself
+        assert ctx.kkt.nnz == np.count_nonzero(ref)
 
 
 @pytest.mark.parametrize("pair", ["MINI", "TH"])
@@ -639,3 +680,20 @@ def test_pinned_solve_matches_augmented(pair):
     assert rel_err(u, u_ref) < 1e-12
     assert rel_err(q, q_ref) < 1e-10
     assert abs(ctx.w @ q) < 1e-12 * np.abs(q).max()
+
+
+def test_recovered_bubbles_satisfy_full_rows():
+    """After a Newton solve on the condensed system, the bubbles recovered
+    cell by cell satisfy every row of the full pinned KKT system."""
+    ctx, data, A = step_operator("MINI", 4)
+    nu = ctx.kkt.nu
+    full = ref_pinned_matrix(A, ctx.B, ctx.bdofs)
+    rng = np.random.default_rng(11)
+    rhs = ctx.kkt.rhs(rng.standard_normal(nu), np.zeros(ctx.kkt.nq))
+    x = ctx.kkt.factor(data)(rhs)
+    x[nu:] -= x[nu + PINNED]  # the pinned system's pressure, before the mean shift
+    bubbles = ref_interior(ctx.v_space)
+    assert len(bubbles) == 2 * ctx.v_space.mesh.n_cells
+    r = full @ x - rhs
+    assert np.linalg.norm(r[bubbles]) < 1e-10 * np.linalg.norm(rhs)
+    assert np.linalg.norm(r) < 1e-10 * np.linalg.norm(rhs)

@@ -13,7 +13,7 @@ from pfluid.assembly import (
     assemble_mass,
     assemble_rhs,
     assemble_stress,
-    global_matrix,
+    local_mass,
     pressure_mean_vector,
 )
 from pfluid.fespace import DiscreteField, FESpace, element_pair
@@ -100,20 +100,16 @@ def test_p2_matches_independent_linear_stepper():
 
     traj = run_simulation(vs, qs, model, grid, bump, f=f)
 
-    E = global_matrix(vs, assemble_stress(
-        vs, np.zeros(vs.n_dofs), model, jacobian="newton")[1])
+    E = assemble_stress(vs, np.zeros(vs.n_dofs), model, jacobian="newton")[1]
     M = assemble_mass(vs)
-    B = assemble_divergence(vs, qs)
-    w = pressure_mean_vector(qs)
-    bdofs = vs.boundary_dofs()
+    M_local = local_mass(vs)
+    sys = assembly.SaddleSystem(vs, qs)
     k = grid.kappa
     U = traj.velocities[0]
     for m, t in enumerate(grid.times()[1:], start=1):
-        N = global_matrix(vs, assemble_convection(vs, U))
+        N = assemble_convection(vs, U)
         F = assemble_rhs(vs, lambda X, _t=t: f(_t, X))
-        A = (M / k + E + N).tocoo()
-        sys = assembly.SaddleSystem([(A.row, A.col)], B, w, bdofs)
-        U, Q = sys.split(sys.factor(sys.base + sys.scatter(0, A.data))(
+        U, Q = sys.split(sys.factor(M_local / k + E + N)(
             sys.rhs(F + M @ U / k, np.zeros(qs.n_dofs))))
         scale = 1.0 + np.linalg.norm(U)
         assert np.linalg.norm(U - traj.velocities[m]) < 1e-9 * scale
@@ -247,6 +243,37 @@ def test_static_pivot_failure_falls_back_to_partial_pivoting(
                for r in warnings)
 
 
+def test_step_counts_pivot_fallbacks_and_fill(monkeypatch):
+    """A step reports its partial-pivot refactors and the nnz of its last
+    LU; a clean step reports no refactor."""
+    vs, qs = mini_spaces(3)
+    model = StressModel(1.6, 0.1)
+    grid = TimeGrid(0.2, 4)
+    traj = run_simulation(vs, qs, model, grid, bump)
+    assert all(d.pivot_fallbacks == 0 and d.fill_nnz > 0 for d in traj.diagnostics)
+    ctx = StepperContext(vs, qs, model, grid.kappa)
+    real_splu = assembly.splu
+    lus = []
+
+    class Inaccurate:
+        def __init__(self, lu):
+            self.lu, self.nnz = lu, lu.nnz
+
+        def solve(self, rhs):
+            return self.lu.solve(rhs) * (1.0 + 1e-6)
+
+    def splu_static_rejected(A, **options):
+        lus.append(real_splu(A, **options))
+        static = options.get("permc_spec") == "NATURAL"
+        return Inaccurate(lus[-1]) if static else lus[-1]
+
+    monkeypatch.setattr(assembly, "splu", splu_static_rejected)
+    _, _, diag = ctx.step(traj.velocities[1], traj.pressures[1], grid.times()[2])
+    assert diag.converged
+    assert diag.pivot_fallbacks == diag.factorizations // 2 > 0
+    assert diag.fill_nnz == lus[-1].nnz
+
+
 @pytest.mark.parametrize("pair", ["MINI", "TH"])
 def test_smooth_forced_steps_factor_once(pair):
     """On a smooth forced run the first LU of a step carries its chord
@@ -332,7 +359,8 @@ def test_run_orders_one_saddle_pattern(monkeypatch, caplog):
     vs, qs = mini_spaces(4)
     with caplog.at_level(logging.WARNING, logger="pfluid.assembly"):
         run_simulation(vs, qs, StressModel(1.8, 0.1), TimeGrid(0.2, 2), bump)
-    assert sizes == [vs.n_dofs + qs.n_dofs]
+    # the bubbles are condensed out: two velocity components per vertex
+    assert sizes == [2 * vs.mesh.n_vertices + qs.n_dofs]
     assert not [r for r in caplog.records if r.name == "pfluid.assembly"]
 
 
