@@ -116,7 +116,8 @@ class StressModel:
         tot = self.delta + t
         if self.delta == 0.0 and np.any(t < DEGENERATE_EPS):
             raise DegenerateGradientError(
-                "stress Jacobian undefined at sym P = 0 when delta = 0"
+                "degenerate gradient: stress Jacobian undefined at sym P = 0 "
+                "when delta = 0"
             )
         p = self.p
         g = _safe_pow(tot, p - 2.0)
@@ -137,9 +138,6 @@ class StressModel:
 
     def phi_prime(self, t):
         return self.shifted(0.0).derivative(t)
-
-    def phi_second(self, t):
-        return self.shifted(0.0).second(t)
 
     def shifted(self, a) -> "ShiftedNFunction":
         """Shifted N-function phi_a with phi_a'(t) = (delta+a+t)^(p-2) t."""

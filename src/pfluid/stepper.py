@@ -106,8 +106,8 @@ class StepperContext:
 
     A step hands ``kkt.factor`` element matrices: M/kappa, the
     convection N of the step and the stress linearization, summed cell
-    by cell.  N @ U in the residual is an element matvec
-    (``assembly.local_matvec``), so no sparse N is built.
+    by cell.  The residual applies the same M/kappa + N as an element
+    matvec (``assembly.local_matvec``), so no sparse M or N is built.
     """
 
     def __init__(self, v_space, q_space, model, kappa, options=None):
@@ -116,22 +116,19 @@ class StepperContext:
         self.model = model
         self.kappa = float(kappa)
         self.opts = options or SolverOptions()
-        self.M = assembly.assemble_mass(v_space)
         self.kkt = assembly.SaddleSystem(v_space, q_space)
         self.B, self.w, self.bdofs = self.kkt.B, self.kkt.w, self.kkt.bdofs
-        self._free = np.ones(v_space.n_dofs)
-        self._free[self.bdofs] = 0.0
         # M/kappa as element matrices, the part of every KKT matrix that
         # stays fixed over the run
         self._fixed_data = assembly.local_mass(v_space) / self.kappa
 
-    def _residual(self, U, Q, U_prev, N_local, F):
+    def _residual(self, U, Q, step_data, rhs_u):
         s, _ = assembly.assemble_stress(
             self.v_space, U, self.model, degree=self.opts.quad_degree, jacobian=None
         )
-        NU = assembly.local_matvec(self.v_space, N_local, U)
-        Ru = self.M @ (U - U_prev) / self.kappa + s + NU - self.B.T @ Q - F
-        Ru = np.where(self._free > 0.0, Ru, U)
+        Ru = (assembly.local_matvec(self.v_space, step_data, U) + s
+              - self.B.T @ Q - rhs_u)
+        Ru[self.bdofs] = U[self.bdofs]
         return np.concatenate([Ru, self.B @ U])
 
     def _factor(self, U, step_data, mode):
@@ -163,9 +160,8 @@ class StepperContext:
             F = assembly.assemble_rhs(self.v_space, f, degree=opts.quad_degree)
         else:
             F = np.zeros(nu)
-        N_local = assembly.assemble_convection(self.v_space, U_prev)
-        step_data = self._fixed_data + N_local
-        rhs_u = F + self.M @ U_prev / self.kappa
+        step_data = self._fixed_data + assembly.assemble_convection(self.v_space, U_prev)
+        rhs_u = F + assembly.local_matvec(self.v_space, self._fixed_data, U_prev)
         tol_eff = max(opts.tol * float(np.linalg.norm(rhs_u)), opts.abs_tol)
 
         if initial is not None:
@@ -181,7 +177,7 @@ class StepperContext:
         backtracks = 0
         kkt = self.kkt
         factored, fallbacks = kkt.factorizations, kkt.pivot_fallbacks
-        R = self._residual(U, Q, U_prev, N_local, F)
+        R = self._residual(U, Q, step_data, rhs_u)
         rnorm = float(np.linalg.norm(R))
         history.append(rnorm)
         mode = opts.method
@@ -227,7 +223,7 @@ class StepperContext:
                 accepted = False
                 for _ in range(opts.max_backtrack + 1):
                     x_try = x + lam * d
-                    R_try = self._residual(*unpack(x_try), U_prev, N_local, F)
+                    R_try = self._residual(*unpack(x_try), step_data, rhs_u)
                     r_try = float(np.linalg.norm(R_try))
                     if r_try <= (1.0 - 1e-4 * lam) * rnorm or r_try <= tol_eff:
                         accepted = True
@@ -260,7 +256,7 @@ class StepperContext:
                     raise NonConvergenceError(
                         f"linear solve failed at t={t_m:.6g}: {exc}"
                     ) from exc
-                R = self._residual(*unpack(x), U_prev, N_local, F)
+                R = self._residual(*unpack(x), step_data, rhs_u)
                 rnorm = float(np.linalg.norm(R))
                 history.append(rnorm)
                 total_iters += 1

@@ -16,9 +16,10 @@ import io
 import numpy as np
 
 from . import assembly
-from .fespace import FESpace, element_pair, quadrature_for
+from .fespace import FESpace, element_pair
 from .mesh import unit_square_mesh
-from .pstructure import StressModel, _safe_pow, sym_part, tensor_norm
+from .pstructure import (DegenerateGradientError, StressModel, _safe_pow,
+                         sym_part, tensor_norm)
 from .stepper import SolverOptions, TimeGrid, Trajectory, run_simulation
 from .tables import report
 
@@ -175,17 +176,21 @@ def forcing_from(ms: ManufacturedSolution, model: StressModel):
 
         (div S)_i = g sum_j dA[i, j, j] + radial sum_j A_ij (A : dA[..., j]).
 
-    For delta = 0 the stress derivative is
-    singular where Du vanishes.  The default solution family degenerates
+    For delta = 0 the stress derivative is singular where sym Du
+    vanishes, so f raises DegenerateGradientError when |sym Du| < 1e-10
+    at any point it is called at; a run calls it at its own quadrature
+    points at every step time.  The default solution family degenerates
     only at isolated points (the domain center and corners), which the
-    default quadrature rules avoid; that is asserted here by probing the
-    physical quadrature points of representative meshes.  The hard guard
-    remains the DegenerateGradientError raised at evaluation time.
+    default quadrature rules avoid.  Building f evaluates nothing.
     """
     def f(t, X):
         X = np.asarray(X, dtype=float)
         u, dt_u, G, H = ms.flow(t, X)
         A, g, radial = model.jacobian_factors(G)
+        if model.delta == 0.0 and np.min(tensor_norm(A)) < 1e-10:
+            raise DegenerateGradientError(
+                f"delta=0 forcing degenerates at t={t:.6g}: |sym Du| < 1e-10; "
+                "use a regularized model")
         dA = 0.5 * (H + np.swapaxes(H, -3, -2))  # d_j (sym grad u)_kl at [k,l,j]
         AdA = np.einsum("...kl,...klj->...j", A, dA)
         divS = (g[..., None] * np.einsum("...ijj->...i", dA)
@@ -193,27 +198,7 @@ def forcing_from(ms: ManufacturedSolution, model: StressModel):
         conv = np.einsum("...il,...l->...i", G, u)
         return dt_u + conv + ms.grad_q(t, X) - divS
 
-    if model.delta == 0.0 and _degenerates_at_probe(ms.grad_u):
-        raise ValueError(
-            "delta=0 forcing degenerates at a default "
-            "quadrature point; use a regularized model"
-        )
     return f
-
-
-def _degenerates_at_probe(grad_u):
-    """Whether |sym grad_u| falls below 1e-10 at t = 0, 0.3 or 0.7 at a
-    physical quadrature point of degree 5 or 7 on the n = 4..32 meshes."""
-    pts = []
-    for n in (4, 8, 16, 32):
-        mesh = unit_square_mesh(n)
-        cell_X = mesh.vertices[mesh.cells]
-        for deg in (5, 7):
-            xq = np.einsum("qk,ckl->cql", quadrature_for(deg).points, cell_X)
-            pts.append(xq.reshape(-1, 2))
-    X = np.concatenate(pts)
-    return any(np.min(tensor_norm(sym_part(grad_u(tt, X)))) < 1e-10
-               for tt in (0.0, 0.3, 0.7))
 
 
 # -- error quantities --------------------------------------------------
@@ -325,7 +310,6 @@ class StudyConfig:
     manufactured: str = "smooth-periodic"
     quad_flow: int = 5
     quad_error: int = 7
-    tol: float = 1e-10
 
     def __post_init__(self):
         if self.mode not in ("coupled", "temporal"):
@@ -426,7 +410,7 @@ def convergence_study(config: StudyConfig) -> StudyResult:
     ms = manufactured_default(config.manufactured)
     model = StressModel(config.p, config.delta)
     f = forcing_from(ms, model)
-    opts = SolverOptions(tol=config.tol, quad_degree=config.quad_flow)
+    opts = SolverOptions(quad_degree=config.quad_flow)
 
     runs = []
     if config.mode == "coupled":

@@ -626,7 +626,7 @@ def step_operator(pair, n):
     N = assemble_convection(vs, U_prev)
     _, K = assemble_stress(vs, U, model, jacobian="newton")
     data = ctx._fixed_data + N + K
-    A = (ctx.M / ctx.kappa + ref_convection(vs, U_prev)
+    A = (assemble_mass(vs) / ctx.kappa + ref_convection(vs, U_prev)
          + global_matrix(vs, ref_stress_local(vs, U, model, "newton")))
     return ctx, data, A
 

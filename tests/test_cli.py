@@ -11,6 +11,8 @@ from pfluid.assembly import LinearSolveError
 from pfluid.cli import ConfigError, main, parse_config, report
 from pfluid.stepper import NonConvergenceError
 
+from fem_reference import pure_strain
+
 
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
@@ -296,6 +298,20 @@ def test_runtime_value_error_exit_code(tmp_path, capsys):
     assert main(["--config", write_config(tmp_path, doc),
                  "--output", str(tmp_path / "o")]) == 2
     assert stderr_payload(capsys)["error"] == "ValueError"
+
+
+def test_degenerate_forcing_exit_code(tmp_path, capsys, monkeypatch):
+    # the pure strain degenerates at the step time t = 0.5, which a
+    # delta = 0 forcing refuses when the step evaluates it
+    monkeypatch.setattr(cli.verif, "manufactured_default", lambda kind: pure_strain())
+    doc = simulate_doc(model={"p": 1.8, "delta": 0.0},
+                       discretization={"n": 2, "T": 0.5, "M": 2},
+                       manufactured="smooth-periodic")
+    assert main(["--config", write_config(tmp_path, doc),
+                 "--output", str(tmp_path / "o")]) == 2
+    payload = stderr_payload(capsys)
+    assert payload["error"] == "DegenerateGradientError"
+    assert "t=0.5" in payload["message"]
 
 
 def test_nonconvergence_exit_code(tmp_path, capsys, monkeypatch):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import pfluid
-from pfluid.fespace import FESpace, element_pair, interpolate
+from pfluid.fespace import FESpace, element_pair, interpolate, quadrature_for
 from pfluid.mesh import unit_square_mesh
 from pfluid.pstructure import DegenerateGradientError, StressModel
 from pfluid.stepper import TimeGrid, Trajectory
@@ -37,7 +37,7 @@ from pfluid.verification import (
     weak_residual_check,
 )
 
-from fem_reference import stress_jacobian
+from fem_reference import pure_strain, solution_from, stress_jacobian
 
 
 KINDS = ("smooth-periodic", "time-dominant")
@@ -274,27 +274,59 @@ def test_manufactured_flow_matches_separate_fields():
                 np.testing.assert_array_equal(a, b)
 
 
-def test_forcing_degenerate_guard(ms):
-    # isolated zeros of |Du| are fine; identically antisymmetric
-    # gradients put a zero at every quadrature point and must be refused
-    forcing_from(ms, StressModel(1.5, 0.0))
+def rigid_rotation():
+    """u = (y, -x): its gradient is antisymmetric, so sym Du = 0 at every
+    point."""
     rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    fields = dict(
+    return solution_from(
+        "rigid-rotation",
         u=lambda t, X: np.stack([X[..., 1], -X[..., 0]], axis=-1),
         grad_u=lambda t, X: np.broadcast_to(rot, X.shape[:-1] + (2, 2)),
         hess_u=lambda t, X: np.zeros(X.shape[:-1] + (2, 2, 2)),
         dt_u=lambda t, X: np.zeros(X.shape[:-1] + (2,)),
     )
-    bad = ManufacturedSolution(
-        name="rigid-rotation",
-        q=lambda t, X: np.zeros(X.shape[:-1]),
-        grad_q=lambda t, X: np.zeros(X.shape[:-1] + (2,)),
-        flow=lambda t, X: tuple(fields[k](t, X)
-                                for k in ("u", "dt_u", "grad_u", "hess_u")),
-        **fields,
-    )
-    with pytest.raises(ValueError, match="degenerate"):
-        forcing_from(bad, StressModel(1.5, 0.0))
+
+
+def quadrature_points(n, degree):
+    mesh = unit_square_mesh(n)
+    cell_X = mesh.vertices[mesh.cells]
+    xq = np.einsum("qk,ckl->cql", quadrature_for(degree).points, cell_X)
+    return xq.reshape(-1, 2)
+
+
+def test_forcing_degenerate_guard(ms):
+    # isolated zeros of |Du| are fine; identically antisymmetric
+    # gradients put a zero at every quadrature point and must be refused
+    f = forcing_from(ms, StressModel(1.5, 0.0))
+    for n in (4, 8, 16, 32):
+        for degree in (5, 7):
+            X = quadrature_points(n, degree)
+            for t in (0.0, 0.3, 0.7):
+                assert np.all(np.isfinite(f(t, X)))
+    bad = forcing_from(rigid_rotation(), StressModel(1.5, 0.0))
+    with pytest.raises(DegenerateGradientError, match="degenerate"):
+        bad(0.0, quadrature_points(4, 5))
+
+
+def test_forcing_from_evaluates_nothing():
+    """Building a delta = 0 forcing calls none of the solution's fields."""
+    def refuse(*args):
+        raise AssertionError("field evaluated at construction")
+
+    names = ("u", "grad_u", "hess_u", "dt_u", "q", "grad_q", "flow")
+    forcing_from(ManufacturedSolution(name="refuse", **dict.fromkeys(names, refuse)),
+                 StressModel(1.5, 0.0))
+
+
+def test_forcing_refuses_near_degenerate_time():
+    """|sym Du| = sqrt(2) 1e-12 at t = 0.5 is above the Jacobian's
+    overflow guard but below the forcing's 1e-10 threshold."""
+    f = forcing_from(pure_strain(), StressModel(1.5, 0.0))
+    X = quadrature_points(4, 5)
+    for t in (0.0, 0.3, 0.7):
+        assert np.all(np.isfinite(f(t, X)))
+    with pytest.raises(DegenerateGradientError, match="degenerate"):
+        f(0.5, X)
 
 
 # -- error bookkeeping -------------------------------------------------
