@@ -1,29 +1,41 @@
 """Weak-form assembly and saddle-point linear algebra.
 
 Per-iteration work at the quadrature points is batched dense matmuls
-on fixed layouts followed by one scatter.  Fields come from
-``FESpace.eval_at_qp``/``grad_at_qp``; the stress residual is one
-matmul of the weighted stress with the gradient rows
-(``FESpace.grad_rows``, (n_cells, n_local, nq*d)) and the load vector
-one matmul with the basis table.  Cell vectors are summed into global
-vectors with ``np.bincount`` on ``local_vector_dofs().ravel()``.  Mass,
-stiffness and divergence, assembled once per space, are two-operand
-einsums scattered into scipy.sparse matrices.  The stress linearization,
-the convection and ``local_mass`` return element matrices of shape
+on fixed layouts followed by one scatter.  Velocity values come from
+``FESpace.eval_at_qp``, and the load vector is one matmul with the basis
+table.  Cell vectors are summed into global vectors with
+``np.bincount`` on ``local_vector_dofs().ravel()``.  Mass, stiffness and
+divergence, assembled once per space, are two-operand einsums scattered
+into scipy.sparse matrices.  The stress linearization, the convection
+and ``local_mass`` return element matrices of shape
 (n_cells, d*n_local, d*n_local) on ``FESpace.local_vector_dofs``;
 ``local_matvec`` applies them to a vector without assembling, and the
 saddle system takes them as they are.
+
+The stress terms start from one ``StressState`` per velocity iterate:
+sym Du = [[a, c], [c, b]] in three components at the quadrature points,
+read from the batched matmul of the local coefficients with the
+gradient rows (``FESpace.sym_grad_at_qp``; ``FESpace.grad_rows`` is
+(n_cells, n_local, d*nq), derivative-major per basis function), with
+t = |sym Du| = sqrt(a^2 + b^2 + 2 c^2) and g = (delta + t)^(p-2).  The
+residual call returns the state it built, and a linearization at the
+same iterate takes it instead of recomputing the gradient.  The residual
+(S(Du), Dv) is one matmul of the weighted components g (a, c; c, b)
+with the gradient rows.
 
 The stress linearization uses the closed form of the derivative of
 S(P) = (delta + |sym P|)^(p-2) sym P,
 
     DS(P) = g Sym + radial A (x) A,    A = sym P,
 
-from ``StressModel.jacobian_factors``.  Its element matrices are the
-g-weighted symmetric-gradient form plus, for Newton only, the rank-one
-term radial v (x) v with v[s, a] = A[s, l] d_l phi_a; Picard is the
-symmetric-gradient form with the frozen weight max(delta+t, floor)^(p-2).
-The floor scales with the iterate (see ``assemble_stress``).
+with radial = g'(t)/t = (p-2)(delta+t)^(p-3)/t, the factors of
+``StressModel.jacobian_factors``.  Its element matrices are the
+g-weighted symmetric-gradient form, one matmul of the contiguous
+gradient rows with themselves, plus, for Newton only, the rank-one term
+radial v (x) v with v = (a d_x phi + c d_y phi, c d_x phi + b d_y phi)
+formed elementwise; Picard is the symmetric-gradient form with the
+frozen weight max(delta+t, floor)^(p-2).  The floor scales with the
+iterate (see ``assemble_stress``).
 No 4-index tensor is formed.  The convection trilinear form is used in
 the skew-symmetrized version
 
@@ -73,13 +85,14 @@ cell.  Every factorization goes through the module attribute ``splu``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 import logging
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .pstructure import StressModel, _safe_pow, sym_part, tensor_norm
+from .pstructure import StressModel, _require_regular, _safe_pow, sym_norm
 
 log = logging.getLogger(__name__)
 
@@ -204,22 +217,47 @@ def local_matvec(v_space, local, coeffs):
     return _scatter_vector(dofs, np.matmul(local, x[:, :, None]), v_space.n_dofs)
 
 
-def _sym_gradient_local(wg, gphys):
-    """Element matrices of (wg Dv, Dw), shape (nc, d, nloc, d, nloc).
+@dataclass(frozen=True)
+class StressState:
+    """Stress of one velocity at the quadrature points of one rule.
+
+    sym Du = [[a, c], [c, b]] is held in its three components, read from
+    the batched gradient matmul (``FESpace.sym_grad_at_qp``), with
+    t = |sym Du| = sqrt(a^2 + b^2 + 2 c^2) and g = (delta + t)^(p-2), so
+    S(Du) = g sym Du.  Every field has shape (n_cells, nq).
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    t: np.ndarray
+    g: np.ndarray
+
+
+def _stress_state(v_space, coeffs, model, degree):
+    a, b, c = v_space.sym_grad_at_qp(coeffs, degree)
+    t = sym_norm(a, b, c)
+    return StressState(a, b, c, t, model.weight(t))
+
+
+def _sym_gradient_local(wg, G):
+    """Element matrices of (wg Dv, Dw), shape (nc, 2 n_local, 2 n_local),
+    for the gradient rows G (nc, n_local, 2 nq) of ``FESpace.grad_rows``.
 
     With D the symmetric gradient the (i, a; j, b) entry is
     1/2 sum_q wg [delta_ij grad(phi_a).grad(phi_b) + d_j phi_a d_i phi_b].
     """
-    nc, nq, nloc, d = gphys.shape
-    G = gphys.reshape(nc, nq, nloc * d)
+    nc, nloc, _ = G.shape
+    D = G.reshape(nc, 2 * nloc, -1)  # row (a, j): d_j phi_a at the points
     # Y[c, a, j, b, i] = sum_q wg d_j phi_a d_i phi_b
-    Y = np.matmul(np.swapaxes(wg[:, :, None] * G, 1, 2), G)
-    Y = Y.reshape(nc, nloc, d, nloc, d)
-    local = 0.5 * Y.transpose(0, 4, 1, 2, 3)
+    Y = np.matmul(wg[:, None, :] * D, np.swapaxes(D, 1, 2))
+    Y = Y.reshape(nc, nloc, 2, nloc, 2)
+    local = np.empty((nc, 2, nloc, 2, nloc))
+    np.multiply(Y.transpose(0, 4, 1, 2, 3), 0.5, out=local)
     lap = np.einsum("calbl->cab", Y)
-    for i in range(d):
+    for i in range(2):
         local[:, i, :, i, :] += 0.5 * lap
-    return local
+    return local.reshape(nc, 2 * nloc, 2 * nloc)
 
 
 def _shift_floor(t, jac_delta_floor):
@@ -231,7 +269,7 @@ def _shift_floor(t, jac_delta_floor):
 
 
 def assemble_stress(v_space, coeffs, model: StressModel, degree=5, jacobian="newton",
-                    jac_delta_floor=1e-8):
+                    jac_delta_floor=1e-8, state=None):
     """Stress residual (S(Du), Dv) or a linearization of it.
 
     jacobian: None for the residual, "newton" for the exact derivative
@@ -244,44 +282,63 @@ def assemble_stress(v_space, coeffs, model: StressModel, degree=5, jacobian="new
     point a root of the residual as the flow comes to rest.  The
     residual always uses the unmodified model.
 
-    Returns (residual, local): the residual vector and None for
-    jacobian=None, else None and the element matrices of the
-    linearization, shape (n_cells, d*n_local, d*n_local) on
-    ``v_space.local_vector_dofs()``.
+    state: the ``StressState`` of coeffs under this model and degree,
+    as an earlier residual call returned it; None computes it from
+    coeffs.
+
+    Returns (residual, state) for jacobian=None: the residual vector and
+    the ``StressState`` it was built from.  Otherwise returns None and
+    the element matrices of the linearization, shape
+    (n_cells, d*n_local, d*n_local) on ``v_space.local_vector_dofs()``.
     """
-    grad = v_space.grad_at_qp(coeffs, degree)
-    _, _, gphys, _ = v_space.tabulation(degree)
+    if state is None:
+        state = _stress_state(v_space, coeffs, model, degree)
+    G = v_space.grad_rows(degree)
     wd = v_space.cell_weights(degree)
-    nc, nq, nloc, d = gphys.shape
+    nc, nloc, _ = G.shape
+    a, b, c, t = state.a, state.b, state.c, state.t
     if jacobian is None:
-        # res[c, i, a] = sum_(q,l) wd S[c, q, i, l] d_l phi_a, one matmul
-        # with the gradient rows (nc, nloc, nq*d)
-        WS = np.swapaxes(wd[:, :, None, None] * model.stress(grad), 1, 2)
-        res_cell = np.matmul(WS.reshape(nc, -1, nq * d),
-                             np.swapaxes(v_space.grad_rows(degree), 1, 2))
+        # res[k, i, j] = sum_(l,q) wd S[k, i, l, q] d_l phi_j(q), one
+        # matmul with the gradient rows
+        wg = wd * state.g
+        WS = np.empty((nc, 2, 2, t.shape[1]))
+        WS[:, 0, 0] = wg * a
+        WS[:, 1, 1] = wg * b
+        WS[:, 0, 1] = WS[:, 1, 0] = wg * c
+        res_cell = np.matmul(WS.reshape(nc, 2, -1), np.swapaxes(G, 1, 2))
         residual = _scatter_vector(v_space.local_vector_dofs(), res_cell,
                                    v_space.n_dofs)
-        return residual, None
+        return residual, state
 
-    # DS = g Sym + radial A (x) A: the g part is the weighted
-    # symmetric-gradient form, the radial part the rank-one term
-    # radial v (x) v with v[s, a] = A[s, l] d_l phi_a
     if jacobian == "newton":
-        jmodel = model
+        # DS = g Sym + radial A (x) A: the g part is the weighted
+        # symmetric-gradient form, the radial part the rank-one term
+        # radial v (x) v with v = (a d_x phi + c d_y phi, c d_x phi + b d_y phi)
+        shift, g = model.delta, state.g
         # the floor can only exceed delta when delta < jac_delta_floor
-        if model.delta < jac_delta_floor:
-            floor = _shift_floor(tensor_norm(sym_part(grad)), jac_delta_floor)
-            if model.delta < floor:
-                jmodel = StressModel(model.p, floor)
-        A, g, radial = jmodel.jacobian_factors(grad)
-        local = _sym_gradient_local(wd * g, gphys).reshape(nc, d * nloc, d * nloc)
-        v = np.matmul(A, np.swapaxes(gphys, 2, 3)).reshape(nc, nq, d * nloc)
-        local += np.matmul(np.swapaxes((wd * radial)[:, :, None] * v, 1, 2), v)
+        if shift < jac_delta_floor:
+            shift = max(shift, _shift_floor(t, jac_delta_floor))
+            if shift > model.delta:
+                g = _safe_pow(shift + t, model.p - 2.0)
+        _require_regular(shift, t)
+        # radial = g'(t)/t = (p-2)(shift+t)^(p-3)/t, zero at t = 0
+        tpos = t > 0.0
+        radial = np.where(tpos, (model.p - 2.0) * g
+                          / ((shift + t) * np.where(tpos, t, 1.0)), 0.0)
+        local = _sym_gradient_local(wd * g, G)
+        D = G.reshape(nc, nloc, 2, -1)
+        Dx, Dy = D[:, :, 0], D[:, :, 1]
+        a, b, c = a[:, None], b[:, None], c[:, None]
+        V = np.empty((nc, 2, nloc, t.shape[1]))
+        np.multiply(a, Dx, out=V[:, 0])
+        V[:, 0] += c * Dy
+        np.multiply(c, Dx, out=V[:, 1])
+        V[:, 1] += b * Dy
+        V = V.reshape(nc, 2 * nloc, -1)
+        local += np.matmul((wd * radial)[:, None, :] * V, np.swapaxes(V, 1, 2))
     elif jacobian == "picard":
-        t = tensor_norm(sym_part(grad))
         shift = np.maximum(model.delta + t, _shift_floor(t, jac_delta_floor))
-        g = _safe_pow(shift, model.p - 2.0)
-        local = _sym_gradient_local(wd * g, gphys).reshape(nc, d * nloc, d * nloc)
+        local = _sym_gradient_local(wd * _safe_pow(shift, model.p - 2.0), G)
     else:
         raise ValueError(f"unknown jacobian mode {jacobian!r}")
     return None, local
@@ -302,8 +359,8 @@ def assemble_convection(v_space, transport_coeffs, degree=None):
         transport_coeffs, degree)
     # transport[c, b, q] = wd (u . grad phi_b) at point q, summed
     # elementwise over the components of the gradient rows
-    rows = v_space.grad_rows(degree).reshape(nc, nloc, nq, d)
-    transport = sum(rows[..., i] * wu[:, None, :, i] for i in range(d))
+    rows = v_space.grad_rows(degree).reshape(nc, nloc, d, nq)
+    transport = sum(rows[:, :, i] * wu[:, None, :, i] for i in range(d))
     # Ct[c, b, a] = C[c, a, b] = sum_q transport[c, b, q] phi_a
     Ct = (transport.reshape(nc * nloc, nq) @ phi).reshape(nc, nloc, nloc)
     local = np.zeros((nc, d, nloc, d, nloc))

@@ -2,9 +2,10 @@
 
 Commands: simulate, study, properties, gronwall-check, bochner-check.
 Exit codes: 0 success, 2 config error, 3 solver non-convergence,
-4 acceptance-check failure.  Identical config + seed produces
-byte-identical CSV output; every report embeds the resolved config so a
-run can be reproduced from its own artifacts.
+4 acceptance-check failure, 5 any other error (for example a failed
+linear solve).  Identical config + seed produces byte-identical CSV
+output; every report embeds the resolved config so a run can be
+reproduced from its own artifacts.
 """
 
 from __future__ import annotations

@@ -268,28 +268,28 @@ class FESpace:
         """Cached (rule, basis, physical gradients, quadrature coords).
 
         The physical gradients are returned as an (nc, nq, n_local, d)
-        view of one C-contiguous (nc, n_local, nq, d) array, the layout
-        the field and residual kernels multiply with (``grad_rows``).
+        view of one C-contiguous (nc, n_local, d, nq) array, the layout
+        the field and stress kernels multiply with (``grad_rows``).
         """
         if degree not in self._tab:
             rule = quadrature_for(degree)
             phi = self.element.eval(rule.points)
             dlam = self.element.dlambda(rule.points)  # (nq, n_local, d+1)
-            nq, nloc, nk = dlam.shape
-            # rows[c, b, q, l] = sum_k dlam[q, b, k] grad_lambda[c, k, l]
-            D = np.swapaxes(dlam, 0, 1).reshape(nloc * nq, nk)
-            rows = np.matmul(D, self.grad_lambda).reshape(
-                self.mesh.n_cells, nloc, nq, self.mesh.dim)
-            gphys = np.swapaxes(rows, 1, 2)
+            # rows[c, b, l, q] = sum_k dlam[q, b, k] grad_lambda[c, k, l],
+            # written in its final layout with no transposing copy
+            rows = np.einsum("qbk,ckl->cblq", dlam, self.grad_lambda, order="C")
+            gphys = rows.transpose(0, 3, 1, 2)
             xq = np.einsum("qk,ckl->cql", rule.points, self._cell_X)
             self._tab[degree] = (rule, phi, gphys, xq)
         return self._tab[degree]
 
     def grad_rows(self, degree):
-        """Physical gradients as (nc, n_local, nq*d); no copy is made."""
+        """Physical gradients as (nc, n_local, d*nq), entry [c, b, l*nq + q]
+        the derivative d_l of basis function b at point q; no copy is
+        made."""
         gphys = self.tabulation(degree)[2]
         nc, nq, nloc, d = gphys.shape
-        return np.swapaxes(gphys, 1, 2).reshape(nc, nloc, nq * d, copy=False)
+        return gphys.transpose(0, 2, 3, 1).reshape(nc, nloc, d * nq, copy=False)
 
     def cell_weights(self, degree):
         """Cached (nc, nq) quadrature weights |det J| w_q of each cell."""
@@ -343,18 +343,34 @@ class FESpace:
         U = self.coeffs_by_component(coeffs)
         return np.matmul(phi, U.T[self.cell_dofs])
 
-    def grad_at_qp(self, coeffs, degree):
-        """Gradients at the quadrature points, C-contiguous (nc, nq, ncomp, d).
-
-        One batched matmul of the local coefficients (nc, ncomp, n_local)
-        with the gradient rows (nc, n_local, nq*d), then one transposing
-        copy.
-        """
+    def _grad_planes(self, coeffs, degree):
+        """Gradients at the quadrature points as (nc, ncomp, d, nq): one
+        batched matmul of the local coefficients (nc, ncomp, n_local) with
+        the gradient rows (nc, n_local, d*nq)."""
         G = self.grad_rows(degree)
         U = self.coeffs_by_component(coeffs)
         Uloc = np.swapaxes(U[:, self.cell_dofs], 0, 1)  # (nc, ncomp, nloc)
-        out = np.matmul(Uloc, G).reshape(len(G), self.n_components, -1, self.mesh.dim)
-        return np.ascontiguousarray(np.swapaxes(out, 1, 2))
+        return np.matmul(Uloc, G).reshape(len(G), self.n_components, self.mesh.dim, -1)
+
+    def grad_at_qp(self, coeffs, degree):
+        """Gradients at the quadrature points, C-contiguous (nc, nq, ncomp, d).
+
+        The batched matmul of ``_grad_planes``, then one transposing copy.
+        """
+        return np.ascontiguousarray(self._grad_planes(coeffs, degree).transpose(0, 3, 1, 2))
+
+    def sym_grad_at_qp(self, coeffs, degree):
+        """Symmetric gradient of a two-component field at the quadrature
+        points as its three components (a, b, c), sym Du = [[a, c], [c, b]],
+        each of shape (nc, nq).
+
+        a and b are views of the batched matmul of ``_grad_planes``; no
+        2 x 2 tensor is formed.
+        """
+        if self.n_components != 2:
+            raise ValueError("symmetric gradients need a two-component field")
+        g = self._grad_planes(coeffs, degree)
+        return g[:, 0, 0], g[:, 1, 1], 0.5 * (g[:, 0, 1] + g[:, 1, 0])
 
     def integrate(self, values, degree):
         """Integral over the mesh of per-point values (nc, nq, ...)."""

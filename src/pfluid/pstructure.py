@@ -41,6 +41,18 @@ def tensor_norm(P):
     return np.sqrt(np.einsum("...ij,...ij->...", P, P))
 
 
+def sym_components(P):
+    """Components (a, b, c) of sym P = [[a, c], [c, b]] for 2 x 2
+    tensors P of shape (..., 2, 2)."""
+    P = np.asarray(P, dtype=float)
+    return P[..., 0, 0], P[..., 1, 1], 0.5 * (P[..., 0, 1] + P[..., 1, 0])
+
+
+def sym_norm(a, b, c):
+    """Frobenius norm of the symmetric tensor [[a, c], [c, b]]."""
+    return np.sqrt(a * a + b * b + 2.0 * c * c)
+
+
 def tensor_dot(P, Q):
     """Frobenius inner product over the trailing two axes."""
     return np.sum(np.asarray(P) * np.asarray(Q), axis=(-1, -2))
@@ -51,6 +63,16 @@ def _safe_pow(base, expo):
     base = np.asarray(base, dtype=float)
     out = np.where(base > 0.0, base, 1.0) ** expo
     return np.where(base > 0.0, out, 0.0)
+
+
+def _require_regular(delta, t):
+    """Raise DegenerateGradientError when the stress Jacobian at shift
+    delta overflows somewhere |sym P| = t: delta = 0 and t < DEGENERATE_EPS."""
+    if delta == 0.0 and np.any(t < DEGENERATE_EPS):
+        raise DegenerateGradientError(
+            "degenerate gradient: stress Jacobian undefined at sym P = 0 "
+            "when delta = 0"
+        )
 
 
 @dataclass
@@ -82,17 +104,22 @@ class StressModel:
     def stress(self, P):
         """Evaluate S(P) = (delta + |sym P|)^(p-2) sym P."""
         A = sym_part(P)
-        t = tensor_norm(A)
-        g = self._weight(t)
+        g = self.weight(tensor_norm(A))
         return g[..., None, None] * A
 
     def f_map(self, P):
         """Evaluate F(P) = (delta + |sym P|)^((p-2)/2) sym P."""
         A = sym_part(P)
-        t = tensor_norm(A)
-        tot = self.delta + t
-        g = _safe_pow(tot, 0.5 * (self.p - 2.0))
+        g = self.f_weight(tensor_norm(A))
         return g[..., None, None] * A
+
+    def weight(self, t):
+        """(delta + t)^(p-2), so that S(P) = weight(|sym P|) sym P."""
+        return _safe_pow(self.delta + np.asarray(t, dtype=float), self.p - 2.0)
+
+    def f_weight(self, t):
+        """(delta + t)^((p-2)/2), so that F(P) = f_weight(|sym P|) sym P."""
+        return _safe_pow(self.delta + np.asarray(t, dtype=float), 0.5 * (self.p - 2.0))
 
     def jacobian_factors(self, P):
         """Factors of the stress derivative, returned as (A, g, radial).
@@ -114,11 +141,7 @@ class StressModel:
         A = sym_part(P)
         t = tensor_norm(A)
         tot = self.delta + t
-        if self.delta == 0.0 and np.any(t < DEGENERATE_EPS):
-            raise DegenerateGradientError(
-                "degenerate gradient: stress Jacobian undefined at sym P = 0 "
-                "when delta = 0"
-            )
+        _require_regular(self.delta, t)
         p = self.p
         g = _safe_pow(tot, p - 2.0)
         # the limit for t -> 0 (delta > 0) is zero since |A (x) A| = t^2
@@ -128,9 +151,6 @@ class StressModel:
         return A, g, radial
 
     # -- scalar N-function ---------------------------------------------
-
-    def _weight(self, t):
-        return _safe_pow(self.delta + np.asarray(t, dtype=float), self.p - 2.0)
 
     def phi(self, t):
         """Generating N-function, antiderivative of (delta+s)^(p-2) s."""

@@ -32,6 +32,7 @@ import numpy as np
 
 from . import assembly
 from .fespace import DiscreteField
+from .pstructure import sym_norm
 
 # largest r_new / r_old of an accepted Newton iteration that keeps its LU
 CHORD_CONTRACTION = 0.1
@@ -123,20 +124,23 @@ class StepperContext:
         self._fixed_data = assembly.local_mass(v_space) / self.kappa
 
     def _residual(self, U, Q, step_data, rhs_u):
-        s, _ = assembly.assemble_stress(
+        """(R, state): the step residual at (U, Q) and the stress state
+        of U it was built from."""
+        s, state = assembly.assemble_stress(
             self.v_space, U, self.model, degree=self.opts.quad_degree, jacobian=None
         )
         Ru = (assembly.local_matvec(self.v_space, step_data, U) + s
               - self.B.T @ Q - rhs_u)
         Ru[self.bdofs] = U[self.bdofs]
-        return np.concatenate([Ru, self.B @ U])
+        return np.concatenate([Ru, self.B @ U]), state
 
-    def _factor(self, U, step_data, mode):
+    def _factor(self, U, step_data, mode, state=None):
         """Solver for the step's element matrices plus the stress
-        linearization at U."""
+        linearization at U; ``state`` is the stress state of U from
+        ``_residual``, or None to compute it."""
         _, K = assembly.assemble_stress(
             self.v_space, U, self.model, degree=self.opts.quad_degree,
-            jacobian=mode, jac_delta_floor=self.opts.jac_delta_floor,
+            jacobian=mode, jac_delta_floor=self.opts.jac_delta_floor, state=state,
         )
         return self.kkt.factor(step_data + K)
 
@@ -177,7 +181,9 @@ class StepperContext:
         backtracks = 0
         kkt = self.kkt
         factored, fallbacks = kkt.factorizations, kkt.pivot_fallbacks
-        R = self._residual(U, Q, step_data, rhs_u)
+        # the stress state of the current iterate, so a fresh operator
+        # reuses the residual's
+        R, state = self._residual(U, Q, step_data, rhs_u)
         rnorm = float(np.linalg.norm(R))
         history.append(rnorm)
         mode = opts.method
@@ -206,7 +212,7 @@ class StepperContext:
                 chord = lu is not None
                 try:
                     if not chord:
-                        lu = self._factor(U, step_data, "newton")
+                        lu = self._factor(U, step_data, "newton", state)
                     d = lu(-R)
                 except assembly.LinearSolveError:
                     lu = None
@@ -223,7 +229,7 @@ class StepperContext:
                 accepted = False
                 for _ in range(opts.max_backtrack + 1):
                     x_try = x + lam * d
-                    R_try = self._residual(*unpack(x_try), step_data, rhs_u)
+                    R_try, state_try = self._residual(*unpack(x_try), step_data, rhs_u)
                     r_try = float(np.linalg.norm(R_try))
                     if r_try <= (1.0 - 1e-4 * lam) * rnorm or r_try <= tol_eff:
                         accepted = True
@@ -239,7 +245,7 @@ class StepperContext:
                 newton_iters += 1
                 total_iters += 1
                 if accepted:
-                    x, R, rnorm = x_try, R_try, r_try
+                    x, R, rnorm, state = x_try, R_try, r_try, state_try
                     rejects = 0
                 else:
                     rejects += 1
@@ -250,13 +256,13 @@ class StepperContext:
                 # secant iteration with the frozen-weight operator; direct
                 # iterate, no line search
                 try:
-                    x = self._factor(U, step_data, "picard")(
+                    x = self._factor(U, step_data, "picard", state)(
                         self.kkt.rhs(rhs_u, np.zeros(nq)))
                 except assembly.LinearSolveError as exc:
                     raise NonConvergenceError(
                         f"linear solve failed at t={t_m:.6g}: {exc}"
                     ) from exc
-                R = self._residual(*unpack(x), step_data, rhs_u)
+                R, state = self._residual(*unpack(x), step_data, rhs_u)
                 rnorm = float(np.linalg.norm(R))
                 history.append(rnorm)
                 total_iters += 1
@@ -294,12 +300,13 @@ class Trajectory:
         return np.array(out)
 
     def f_norm_sq(self, degree=5):
-        """||F(Du_h^m)||_2^2 for m = 0..M."""
+        """||F(Du_h^m)||_2^2 for m = 0..M, with |F(Du)| = f_weight(t) t
+        and t = |sym Du| from its three components."""
         out = []
         for U in self.velocities:
-            grad = self.v_space.grad_at_qp(U, degree)
-            Fv = self.model.f_map(grad)
-            out.append(float(self.v_space.integrate(np.sum(Fv * Fv, (-2, -1)), degree)))
+            t = sym_norm(*self.v_space.sym_grad_at_qp(U, degree))
+            Fn = self.model.f_weight(t) * t
+            out.append(float(self.v_space.integrate(Fn * Fn, degree)))
         return np.array(out)
 
     def energy_report(self, degree=5):

@@ -536,10 +536,15 @@ def test_stress_residual_matches_reference(pair, p, delta):
     model = StressModel(p, delta)
     # at delta = 0 the stress is singular where sym Du vanishes; stay away
     A = 0.5 * (ref_grad(vs, c, 5) + np.swapaxes(ref_grad(vs, c, 5), -1, -2))
-    assert np.sqrt(np.sum(A * A, axis=(-1, -2))).min() > 1e-3
-    residual, local = assemble_stress(vs, c, model, jacobian=None)
-    assert local is None
+    t = np.sqrt(np.sum(A * A, axis=(-1, -2)))
+    assert t.min() > 1e-3
+    residual, state = assemble_stress(vs, c, model, jacobian=None)
     assert rel_err(residual, ref_residual(vs, c, model)) < 1e-13
+    # the state handed back is the stress of c in three components
+    for got, ref in [(state.a, A[..., 0, 0]), (state.b, A[..., 1, 1]),
+                     (state.c, A[..., 0, 1]), (state.t, t),
+                     (state.g, (delta + t) ** (p - 2.0))]:
+        assert rel_err(got, ref) < 1e-13
 
 
 @pytest.mark.parametrize("pair", ["MINI", "TH"])

@@ -290,6 +290,42 @@ def test_smooth_forced_steps_factor_once(pair):
     assert max(d.iterations for d in traj.diagnostics) > 1
 
 
+@pytest.mark.parametrize("pair", ["MINI", "TH"])
+def test_fresh_newton_operator_reuses_residual_state(monkeypatch, pair):
+    """A fresh Newton operator is built at an iterate whose residual was
+    just evaluated, from that residual's stress state: a smooth forced
+    run evaluates one velocity gradient per residual, none per
+    factorization."""
+    counts = {"gradients": 0, "residuals": 0, "newton": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for method in ("grad_at_qp", "sym_grad_at_qp"):
+        monkeypatch.setattr(FESpace, method,
+                            counting("gradients", getattr(FESpace, method)))
+    real_stress = assembly.assemble_stress
+
+    def stress(*args, jacobian="newton", **kwargs):
+        counts["residuals" if jacobian is None else jacobian] += 1
+        return real_stress(*args, jacobian=jacobian, **kwargs)
+
+    monkeypatch.setattr(assembly, "assemble_stress", stress)
+    ms = manufactured_default()
+    model = StressModel(1.8, 0.1)
+    vel, pre = element_pair(pair)
+    mesh = unit_square_mesh(8)
+    vs, qs = FESpace(mesh, vel, n_components=2), FESpace(mesh, pre)
+    traj = run_simulation(vs, qs, model, TimeGrid(0.5, 8),
+                          lambda X: ms.u(0.0, X), forcing_from(ms, model))
+    assert counts["newton"] == sum(d.factorizations for d in traj.diagnostics) > 0
+    assert counts["residuals"] > counts["newton"]
+    assert counts["gradients"] == counts["residuals"]
+
+
 @pytest.mark.parametrize("failure", ["reversed", "raises", "halved"])
 def test_failed_chord_direction_refactors(monkeypatch, failure):
     """A chord direction rejected at full length, or whose solve raises,

@@ -13,7 +13,7 @@ import pytest
 import pfluid
 from pfluid.fespace import FESpace, element_pair, interpolate, quadrature_for
 from pfluid.mesh import unit_square_mesh
-from pfluid.pstructure import DegenerateGradientError, StressModel
+from pfluid.pstructure import DegenerateGradientError, StressModel, sym_part, tensor_norm
 from pfluid.stepper import TimeGrid, Trajectory
 from pfluid.verification import (
     CSV_HEADER,
@@ -359,6 +359,37 @@ def test_error_record_interpolant_beats_rest(ms):
         rec_i.l2_max**2 + rec_i.f_agg**2)
     # exact-data norms are recorded for the Gronwall harvest
     assert np.all(rec_i.grad_p_exact > 0.0)
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.0])
+def test_error_norms_match_tensor_reference(ms, delta):
+    """The error record and ||F(Du_h)||^2, formed from three symmetric
+    components, agree with the same norms formed from full 2 x 2
+    gradients through sym_part, tensor_norm and f_map."""
+    model = StressModel(1.6, delta)
+    grid = TimeGrid(0.1, 2)
+    traj = make_trajectory(ms, model, 4, grid, True)
+    rng = np.random.default_rng(5)
+    traj.velocities = [U + 0.01 * rng.standard_normal(len(U)) for U in traj.velocities]
+    rec = error_record(traj, ms, degree=7)
+    vs, p = traj.v_space, model.p
+    X = vs.tabulation(7)[3].reshape(-1, 2)
+    for m, tm in enumerate(grid.times()):
+        gh = vs.grad_at_qp(traj.velocities[m], 7)
+        ge = ms.grad_u(tm, X).reshape(gh.shape)
+        dF = model.f_map(gh) - model.f_map(ge)
+        f_dist = np.sqrt(vs.integrate(np.sum(dF * dF, (-2, -1)), 7))
+        dsym = tensor_norm(sym_part(gh) - sym_part(ge))
+        gperr = vs.integrate(dsym**p, 7) ** (1.0 / p)
+        gpex = vs.integrate(tensor_norm(sym_part(ge)) ** p, 7) ** (1.0 / p)
+        assert rec.f_dist[m] == pytest.approx(f_dist, rel=1e-12)
+        assert rec.grad_p_err[m] == pytest.approx(gperr, rel=1e-12)
+        assert rec.grad_p_exact[m] == pytest.approx(gpex, rel=1e-12)
+    fsq = []
+    for U in traj.velocities:
+        Fv = model.f_map(vs.grad_at_qp(U, 5))
+        fsq.append(vs.integrate(np.sum(Fv * Fv, (-2, -1)), 5))
+    np.testing.assert_allclose(traj.f_norm_sq(), fsq, rtol=1e-12)
 
 
 def test_eoc_pairs_exact_powers():
