@@ -9,17 +9,15 @@ time stepping (stepper), error studies and inequality checks
 """
 
 from .pstructure import StressModel, sym_part
-from .mesh import Mesh, unit_square_mesh, refine_uniform
-from .fespace import FESpace, DiscreteField, quadrature_for
+from .mesh import Mesh, unit_square_mesh
+from .fespace import FESpace, quadrature_for
 
 __all__ = [
     "StressModel",
     "sym_part",
     "Mesh",
     "unit_square_mesh",
-    "refine_uniform",
     "FESpace",
-    "DiscreteField",
     "quadrature_for",
 ]
 

@@ -100,6 +100,8 @@ log = logging.getLogger(__name__)
 PINNED = 0
 # largest accepted ||K x - b|| / ||b|| of a saddle solve
 RESIDUAL_TOL = 1e-10
+# the linearizations floor the shift at this times min(1, max |sym Du|)
+JAC_DELTA_FLOOR = 1e-8
 
 
 class LinearSolveError(RuntimeError):
@@ -260,21 +262,21 @@ def _sym_gradient_local(wg, G):
     return local.reshape(nc, 2 * nloc, 2 * nloc)
 
 
-def _shift_floor(t, jac_delta_floor):
-    """Shift floor jac_delta_floor * min(1, max t), t = |sym Du| at the
+def _shift_floor(t):
+    """Shift floor JAC_DELTA_FLOOR * min(1, max t), t = |sym Du| at the
     quadrature points; a zero iterate has no scale and gets
-    jac_delta_floor itself."""
+    JAC_DELTA_FLOOR itself."""
     tmax = float(np.max(t, initial=0.0))
-    return jac_delta_floor * min(1.0, tmax) if tmax > 0.0 else jac_delta_floor
+    return JAC_DELTA_FLOOR * min(1.0, tmax) if tmax > 0.0 else JAC_DELTA_FLOOR
 
 
 def assemble_stress(v_space, coeffs, model: StressModel, degree=5, jacobian="newton",
-                    jac_delta_floor=1e-8, state=None):
+                    state=None):
     """Stress residual (S(Du), Dv) or a linearization of it.
 
     jacobian: None for the residual, "newton" for the exact derivative
     or "picard" for the frozen-weight secant operator.  Both keep their
-    weights representable with one floor, jac_delta_floor *
+    weights representable with one floor, JAC_DELTA_FLOOR *
     min(1, max_q |sym Du|) (``_shift_floor``): Newton differentiates the
     model with delta raised to the floor, Picard freezes the weight
     max(delta + |sym Du|, floor)^(p-2).  Scaling the floor with the
@@ -315,9 +317,9 @@ def assemble_stress(v_space, coeffs, model: StressModel, degree=5, jacobian="new
         # symmetric-gradient form, the radial part the rank-one term
         # radial v (x) v with v = (a d_x phi + c d_y phi, c d_x phi + b d_y phi)
         shift, g = model.delta, state.g
-        # the floor can only exceed delta when delta < jac_delta_floor
-        if shift < jac_delta_floor:
-            shift = max(shift, _shift_floor(t, jac_delta_floor))
+        # the floor can only exceed delta when delta < JAC_DELTA_FLOOR
+        if shift < JAC_DELTA_FLOOR:
+            shift = max(shift, _shift_floor(t))
             if shift > model.delta:
                 g = _safe_pow(shift + t, model.p - 2.0)
         _require_regular(shift, t)
@@ -337,7 +339,7 @@ def assemble_stress(v_space, coeffs, model: StressModel, degree=5, jacobian="new
         V = V.reshape(nc, 2 * nloc, -1)
         local += np.matmul((wd * radial)[:, None, :] * V, np.swapaxes(V, 1, 2))
     elif jacobian == "picard":
-        shift = np.maximum(model.delta + t, _shift_floor(t, jac_delta_floor))
+        shift = np.maximum(model.delta + t, _shift_floor(t))
         local = _sym_gradient_local(wd * _safe_pow(shift, model.p - 2.0), G)
     else:
         raise ValueError(f"unknown jacobian mode {jacobian!r}")

@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 from pathlib import Path
 import sys
@@ -101,11 +102,19 @@ def _positive_int(val, name):
 def parse_config(text: str) -> RunConfig:
     """Validate a JSON config document into a RunConfig.
 
-    Unknown keys anywhere in the document are rejected; error messages
-    name the offending field or the violated invariant.
+    Unknown keys anywhere in the document are rejected, as are NaN,
+    Infinity, -Infinity and overflowing literals (1e400), which Python's
+    JSON reader accepts and range checks miss; error messages name the
+    offending field or the violated invariant.
     """
+    def finite(literal):
+        value = float(literal)
+        if not math.isfinite(value):
+            raise ConfigError(f"non-finite number {literal} in config")
+        return value
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=finite, parse_constant=finite)
     except json.JSONDecodeError as e:
         raise ConfigError(
             f"config parse error at line {e.lineno}, column {e.colno}: {e.msg}"

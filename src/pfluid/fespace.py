@@ -1,8 +1,8 @@
 """Conforming finite element spaces on triangulations.
 
 Provides quadrature rules (conical product construction with
-nonnegative weights), the velocity/pressure element zoo (P1, P2,
-P1+bubble, P0), scalar and vector dof maps and nodal interpolation.
+nonnegative weights), the velocity/pressure elements (P1, P2,
+P1+bubble), scalar and vector dof maps and nodal interpolation.
 Everything is two-dimensional.
 
 Scalar dofs are numbered vertices first, then edges, then cells; a
@@ -160,19 +160,7 @@ class P2(Element):
         return out
 
 
-class P0(Element):
-    name = "P0"
-    degree = 0
-    cell_dofs = 1
-
-    def eval(self, lam):
-        return np.ones((lam.shape[0], 1))
-
-    def dlambda(self, lam):
-        return np.zeros((lam.shape[0], 1, lam.shape[1]))
-
-
-_ELEMENTS = {"P1": P1, "P2": P2, "P1b": P1Bubble, "P0": P0}
+_ELEMENTS = {"P1": P1, "P2": P2, "P1b": P1Bubble}
 
 
 def element_by_name(name) -> Element:
@@ -250,7 +238,6 @@ class FESpace:
         gl[:, 1:, :] = invT  # row i of inv(Tm) is grad(lambda_i)
         gl[:, 0, :] = -invT.sum(axis=1)
         self.grad_lambda = gl
-        self._cell_x0 = X[:, 0, :]
         self._cell_X = X
         self._tab = {}
         self._wdet = {}
@@ -379,57 +366,6 @@ class FESpace:
         return np.einsum("c,c...->...", self.detJ, red)
 
 
-@dataclass
-class DiscreteField:
-    """Coefficient vector bound to its space."""
-
-    space: FESpace
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.coeffs.shape != (self.space.n_dofs,):
-            raise ValueError(
-                f"expected {self.space.n_dofs} coefficients, got {self.coeffs.shape}"
-            )
-
-    def _bary(self, cell, x):
-        sp = self.space
-        T = sp._cell_X[cell, 1:, :] - sp._cell_X[cell, 0, :]
-        lam12 = np.linalg.solve(T.T, x - sp._cell_x0[cell])
-        return np.concatenate([[1.0 - lam12.sum()], lam12])
-
-    def evaluate(self, x, cell=None):
-        """Point value; scalar for 1 component, else (ncomp,)."""
-        sp = self.space
-        if cell is None:
-            cell = sp.mesh.locate_cell(x)
-            if cell < 0:
-                raise ValueError(f"point {x} outside mesh")
-        lam = self._bary(cell, np.asarray(x, dtype=float))
-        phi = sp.element.eval(lam[None, :])[0]
-        U = sp.coeffs_by_component(self.coeffs)
-        vals = U[:, sp.cell_dofs[cell]] @ phi
-        return float(vals[0]) if sp.n_components == 1 else vals
-
-    def evaluate_gradient(self, x, cell=None):
-        sp = self.space
-        if cell is None:
-            cell = sp.mesh.locate_cell(x)
-            if cell < 0:
-                raise ValueError(f"point {x} outside mesh")
-        lam = self._bary(cell, np.asarray(x, dtype=float))
-        dlam = sp.element.dlambda(lam[None, :])[0]
-        g = dlam @ sp.grad_lambda[cell]
-        U = sp.coeffs_by_component(self.coeffs)
-        grads = np.einsum("ib,bl->il", U[:, sp.cell_dofs[cell]], g)
-        return grads[0] if sp.n_components == 1 else grads
-
-    def l2_norm(self, degree=5):
-        vals = self.space.eval_at_qp(self.coeffs, degree)
-        return float(np.sqrt(self.space.integrate(np.sum(vals * vals, axis=-1), degree)))
-
-
 def _as_components(space, raw):
     out = np.asarray(raw, dtype=float)
     if space.n_components == 1:
@@ -439,8 +375,9 @@ def _as_components(space, raw):
     return out
 
 
-def interpolate(space: FESpace, f) -> DiscreteField:
-    """Nodal interpolation; the bubble coefficient matches cell averages.
+def interpolate(space: FESpace, f) -> np.ndarray:
+    """Coefficients of the nodal interpolant; the bubble coefficient
+    matches cell averages.
 
     ``f`` maps point arrays (..., d) to (..., n_components) values
     (scalar shape (...) accepted for one component).
@@ -463,13 +400,11 @@ def interpolate(space: FESpace, f) -> DiscreteField:
         )
         ref_vol = rule.weights.sum()
         favg = np.einsum("q,cqi->ci", rule.weights, fvals) / ref_vol
-        if el.name == "P0":
-            U[:, -mesh.n_cells :] = favg.T
-        elif el.name == "P1b":
+        if el.name == "P1b":
             lin = np.einsum("qb,icb->cqi", phi[:, :3], U[:, mesh.cells])
             lavg = np.einsum("q,cqi->ci", rule.weights, lin) / ref_vol
             # cell average of the bubble is 9/20
             U[:, -mesh.n_cells :] = ((favg - lavg) / (27.0 / 60.0)).T
         else:
             raise NotImplementedError(el.name)
-    return DiscreteField(space, U.ravel())
+    return U.ravel()

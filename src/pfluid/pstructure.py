@@ -285,14 +285,6 @@ RATIO_NAMES = (
 )
 
 
-@dataclass
-class EquivalenceReport:
-    """Pointwise ratio check between equivalent error quantities."""
-
-    ratios: dict
-    degenerate: bool
-
-
 def equivalence_ratios(model: StressModel, P, Q):
     """Vectorized equivalence ratios for tensor pair batches.
 
@@ -345,17 +337,6 @@ def equivalence_ratios(model: StressModel, P, Q):
     return ratios, degenerate
 
 
-def check_equivalences(model: StressModel, P, Q) -> EquivalenceReport:
-    """Equivalence report for a single tensor pair."""
-    ratios, degenerate = equivalence_ratios(
-        model, np.asarray(P)[None], np.asarray(Q)[None]
-    )
-    return EquivalenceReport(
-        ratios={k: float(v[0]) for k, v in ratios.items()},
-        degenerate=bool(degenerate[0]),
-    )
-
-
 def equivalence_envelope(model: StressModel, n_samples, seed, scale=2.0):
     """Sampled min/max of each equivalence ratio over random pairs.
 
@@ -388,11 +369,3 @@ def quasi_norm_lower_bound_ratio(model: StressModel, norm_du_p, norm_diff_p, f_d
     base = model.delta + norm_du_p + norm_diff_p
     bound = _safe_pow(base, model.p - 2.0) * norm_diff_p**2
     return float(f_dist_sq / bound)
-
-
-def delta2_constant(model: StressModel, a, ts):
-    """Sampled sup of phi_a(2t)/phi_a(t), finite by the doubling bound."""
-    sh = model.shifted(a)
-    ts = np.asarray(ts, dtype=float)
-    ts = ts[ts > 0.0]
-    return float(np.max(sh.value(2.0 * ts) / sh.value(ts)))

@@ -20,7 +20,9 @@ factored; the solver returns the full velocity, and the residual that
 drives Newton stays on the full space.  The initial field is the
 divergence-preserving projection of the data, solved on the same pinned
 saddle system (``StepperContext.kkt``) as every step, so a run builds and
-orders one KKT pattern.
+orders one KKT pattern.  Step tolerances and iteration budgets are the
+module constants TOL, ABS_TOL, MAX_NEWTON, MAX_PICARD, MAX_BACKTRACK and
+PICARD_AFTER_REJECTS.
 """
 
 from __future__ import annotations
@@ -31,9 +33,14 @@ import time
 import numpy as np
 
 from . import assembly
-from .fespace import DiscreteField
 from .pstructure import sym_norm
 
+TOL = 1e-10  # times the norm of the fixed part of the step rhs
+ABS_TOL = 1e-14
+MAX_NEWTON = 50  # Newton iterations before Picard takes the step over
+MAX_PICARD = 200
+MAX_BACKTRACK = 8  # halvings of a fresh Newton direction
+PICARD_AFTER_REJECTS = 3  # rejected line searches in a row before Picard
 # largest r_new / r_old of an accepted Newton iteration that keeps its LU
 CHORD_CONTRACTION = 0.1
 
@@ -67,15 +74,18 @@ class TimeGrid:
 
 @dataclass
 class SolverOptions:
-    tol: float = 1e-10  # relative to the fixed part of the step rhs
-    abs_tol: float = 1e-14
-    max_newton: int = 50
-    max_picard: int = 200
-    max_backtrack: int = 8
-    picard_after_rejects: int = 3
-    jac_delta_floor: float = 1e-8  # times min(1, max |sym Du|); see assemble_stress
-    method: str = "newton"  # "newton" (with picard fallback) or "picard"
+    """The nonlinear method, "newton" (Picard as fallback) or "picard",
+    and the flow quadrature degree.  Tolerances and budgets are module
+    constants: TOL, ABS_TOL, MAX_NEWTON, MAX_PICARD, MAX_BACKTRACK,
+    PICARD_AFTER_REJECTS, CHORD_CONTRACTION and assembly.JAC_DELTA_FLOOR."""
+
+    method: str = "newton"
     quad_degree: int = 5
+
+    def __post_init__(self):
+        if self.method not in ("newton", "picard"):
+            raise ValueError(
+                f"method must be 'newton' or 'picard', got {self.method!r}")
 
 
 @dataclass
@@ -140,7 +150,7 @@ class StepperContext:
         ``_residual``, or None to compute it."""
         _, K = assembly.assemble_stress(
             self.v_space, U, self.model, degree=self.opts.quad_degree,
-            jacobian=mode, jac_delta_floor=self.opts.jac_delta_floor, state=state,
+            jacobian=mode, state=state,
         )
         return self.kkt.factor(step_data + K)
 
@@ -166,7 +176,7 @@ class StepperContext:
             F = np.zeros(nu)
         step_data = self._fixed_data + assembly.assemble_convection(self.v_space, U_prev)
         rhs_u = F + assembly.local_matvec(self.v_space, self._fixed_data, U_prev)
-        tol_eff = max(opts.tol * float(np.linalg.norm(rhs_u)), opts.abs_tol)
+        tol_eff = max(TOL * float(np.linalg.norm(rhs_u)), ABS_TOL)
 
         if initial is not None:
             U, Q = np.array(initial[0], dtype=float), np.array(initial[1], dtype=float)
@@ -202,11 +212,11 @@ class StepperContext:
                                    kkt.fill_nnz if lus else 0)
 
         x = np.concatenate([U, Q])
-        while total_iters < opts.max_newton + opts.max_picard:
+        while total_iters < MAX_NEWTON + MAX_PICARD:
             if rnorm <= tol_eff:
                 return x[:nu].copy(), x[nu:].copy(), diagnostics(True)
             U, Q = unpack(x)
-            if mode == "newton" and newton_iters >= opts.max_newton:
+            if mode == "newton" and newton_iters >= MAX_NEWTON:
                 mode = "picard"
             if mode == "newton":
                 chord = lu is not None
@@ -227,7 +237,7 @@ class StepperContext:
                     continue
                 lam = 1.0
                 accepted = False
-                for _ in range(opts.max_backtrack + 1):
+                for _ in range(MAX_BACKTRACK + 1):
                     x_try = x + lam * d
                     R_try, state_try = self._residual(*unpack(x_try), step_data, rhs_u)
                     r_try = float(np.linalg.norm(R_try))
@@ -249,7 +259,7 @@ class StepperContext:
                     rejects = 0
                 else:
                     rejects += 1
-                    if rejects >= opts.picard_after_rejects:
+                    if rejects >= PICARD_AFTER_REJECTS:
                         mode = "picard"
                 history.append(rnorm)
             else:
@@ -285,9 +295,6 @@ class Trajectory:
     pressures: list
     diagnostics: list = field(default_factory=list)
     wall_time: float = 0.0
-
-    def velocity_field(self, m) -> DiscreteField:
-        return DiscreteField(self.v_space, self.velocities[m])
 
     def l2_norms(self, degree=5):
         """||u_h^m||_2 for m = 0..M."""
@@ -325,12 +332,10 @@ class Trajectory:
         return np.array([float(np.max(np.abs(B @ U) / psi_norms))
                          for U in self.velocities])
 
-    def divergence_max(self):
-        return float(np.max(self.divergences()))
 
-
-def div_preserving_projection(ctx: StepperContext, u0, degree=7) -> DiscreteField:
-    """L2 projection onto the discretely divergence-free subspace.
+def div_preserving_projection(ctx: StepperContext, u0, degree=7) -> np.ndarray:
+    """Velocity coefficients of the L2 projection onto the discretely
+    divergence-free subspace.
 
     Minimizes ||u_h - u0||_2 subject to homogeneous boundary values
     and (div u_h, psi_h) = 0 for all pressure test functions.  Scaled
@@ -343,7 +348,7 @@ def div_preserving_projection(ctx: StepperContext, u0, degree=7) -> DiscreteFiel
     rhs_u = assembly.assemble_rhs(ctx.v_space, u0, degree=degree) / ctx.kappa
     x = ctx.kkt.factor(ctx._fixed_data)(
         ctx.kkt.rhs(rhs_u, np.zeros(ctx.q_space.n_dofs)))
-    return DiscreteField(ctx.v_space, ctx.kkt.split(x)[0])
+    return ctx.kkt.split(x)[0]
 
 
 def run_simulation(v_space, q_space, model, grid: TimeGrid, u0, f=None,
@@ -359,7 +364,7 @@ def run_simulation(v_space, q_space, model, grid: TimeGrid, u0, f=None,
         raise ValueError(f"time step kappa={grid.kappa:.3g} must be <= 1")
     t0 = time.perf_counter()
     ctx = StepperContext(v_space, q_space, model, grid.kappa, opts)
-    U0 = div_preserving_projection(ctx, u0, degree=max(opts.quad_degree, 5)).coeffs
+    U0 = div_preserving_projection(ctx, u0, degree=max(opts.quad_degree, 5))
     velocities = [U0]
     pressures = [np.zeros(q_space.n_dofs)]
     diags = []

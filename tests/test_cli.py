@@ -257,6 +257,9 @@ def test_study_cli_coupled(tmp_path):
     quality = (out / "mesh_quality.csv").read_text().strip().split("\n")
     assert quality[0] == "level,h_max,h_min,gamma"
     assert len(quality) == 3
+    level, h_max, _, gamma = quality[1].split(",")
+    assert level == "2" and float(h_max) == 0.5
+    assert abs(float(gamma) - (1.0 + np.sqrt(2.0))) < 1e-10
     assert "least-squares rates" in (out / "report.txt").read_text()
 
 
@@ -289,6 +292,28 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     payload = stderr_payload(capsys)
     assert payload["error"] == "ConfigError"
     assert "p must lie in (1,2]" in payload["message"]
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize("doc,key", [
+    (simulate_doc(), "T"),
+    ({"command": "bochner-check", "discretization": {}}, "T"),
+    ({"command": "study", "model": {"p": 1.8, "delta": 0.1},
+      "discretization": {"T": 0.5, "levels": [2, 4]}}, "sigma"),
+], ids=["simulate", "bochner-check", "study"])
+def test_non_finite_constant_rejected(tmp_path, capsys, constant, doc, key):
+    # Python's JSON reader accepts these constants and reads an overflowing
+    # literal as inf, and range checks compare false on NaN
+    doc = json.loads(json.dumps(doc))
+    doc["discretization"][key] = 12345.0
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc).replace("12345.0", constant))
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--output", str(out)]) == 2
+    payload = stderr_payload(capsys)
+    assert payload["error"] == "ConfigError"
+    assert f"non-finite number {constant}" in payload["message"]
+    assert not out.exists()
 
 
 def test_runtime_value_error_exit_code(tmp_path, capsys):

@@ -1,6 +1,8 @@
-"""Module layering: every module imports only from lower layers."""
+"""Module layering: every module imports only from lower layers, and
+every definition in the package is referenced from it."""
 
 import ast
+import re
 from pathlib import Path
 
 import pfluid
@@ -51,3 +53,53 @@ def test_modules_import_only_lower_layers():
     for name in sorted(modules):
         for dep in package_imports((src / f"{name}.py").read_text()):
             assert LAYERS[dep] < LAYERS[name], f"{name} imports {dep}"
+
+
+# Names defined under src/pfluid/ that no code in the package refers to,
+# each with the reason it stays.
+UNREFERENCED_OK = {
+    "fenchel_young_check": "README checker",
+    "quasi_norm_suite": "README checker",
+    "weak_residual_check": "README checker",
+    "inf_sup_constant": "README checker",
+    "interpolate": "reference interpolant of the tests",
+    "phi_prime": "N-function API, covered by the property tests",
+}
+
+
+def unreferenced_names(sources):
+    """Functions, classes and methods (dunders excluded) of the given
+    {file name: source} whose name appears as a word on no line other
+    than the lines defining it; ``__init__.py`` re-exports do not count."""
+    defs, text = {}, []
+    for fname, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))):
+                defs.setdefault(node.name, set()).add((fname, node.lineno))
+        if fname != "__init__.py":
+            text += [(fname, i, set(re.findall(r"\w+", line)))
+                     for i, line in enumerate(source.splitlines(), 1)]
+    return sorted(name for name, where in defs.items()
+                  if not any(name in words and (f, i) not in where
+                             for f, i, words in text))
+
+
+def test_unreferenced_names_parser():
+    sources = {
+        "a.py": "def used():\n    pass\n\ndef dead():\n    return used()\n",
+        "b.py": "class Kept:\n    def only_here(self):\n        pass\n"
+                "    def __repr__(self):\n        return ''\n\nx = Kept()\n",
+        "__init__.py": "from .a import dead\nfrom .b import only_here\n",
+    }
+    assert unreferenced_names(sources) == ["dead", "only_here"]
+
+
+def test_every_definition_is_referenced():
+    src = Path(pfluid.__file__).parent
+    sources = {p.name: p.read_text() for p in sorted(src.glob("*.py"))}
+    found = set(unreferenced_names(sources))
+    dead = found - set(UNREFERENCED_OK)
+    assert not dead, f"defined but never referenced in src/pfluid: {sorted(dead)}"
+    stale = set(UNREFERENCED_OK) - found
+    assert not stale, f"allowlisted names that are referenced now: {sorted(stale)}"

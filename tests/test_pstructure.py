@@ -5,8 +5,8 @@ from scipy.integrate import quad
 
 from pfluid.pstructure import (
     ConjugateSolveError, DegenerateGradientError, RATIO_NAMES, StressModel,
-    check_equivalences, delta2_constant, equivalence_envelope,
-    equivalence_ratios, quasi_norm_lower_bound_ratio, sym_part, tensor_norm,
+    equivalence_envelope, equivalence_ratios, quasi_norm_lower_bound_ratio,
+    sym_part, tensor_norm,
 )
 
 from fem_reference import stress_jacobian
@@ -131,13 +131,6 @@ def test_delta2_property(p, delta, a, t):
     assert sh.value(2.0 * t) <= 4.0 * sh.value(t) * (1.0 + 1e-12)
 
 
-def test_delta2_constant_bounded():
-    model = StressModel(1.4, 0.2)
-    ts = np.linspace(1e-3, 10.0, 100)
-    c = delta2_constant(model, 0.5, ts)
-    assert 0.0 < c <= 4.0 + 1e-12
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     p=st.floats(1.05, 2.0),
@@ -231,13 +224,6 @@ def test_equivalence_ratios_near_coincident_pairs(p, delta, entries, log_eps):
     assert not degenerate[0]
     for name in RATIO_NAMES:
         assert np.isfinite(ratios[name][0]) and ratios[name][0] > 0.0, name
-
-
-def test_check_equivalences_single_pair():
-    model = StressModel(1.8, 0.1)
-    rep = check_equivalences(model, np.diag([1.0, -0.5]), np.diag([0.2, 0.4]))
-    assert not rep.degenerate
-    assert set(rep.ratios) == set(RATIO_NAMES)
 
 
 def test_equivalence_envelope_shape():

@@ -337,7 +337,7 @@ def make_trajectory(ms, model, n, grid, interpolated):
     vs = FESpace(mesh, vel, n_components=2)
     qs = FESpace(mesh, pre)
     if interpolated:
-        vels = [interpolate(vs, lambda X, _t=tm: ms.u(_t, X)).coeffs
+        vels = [interpolate(vs, lambda X, _t=tm: ms.u(_t, X))
                 for tm in grid.times()]
     else:
         vels = [np.zeros(vs.n_dofs) for _ in grid.times()]
