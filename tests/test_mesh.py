@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from pfluid.cli import main
 from pfluid.mesh import Mesh, unit_square_mesh
 
 
@@ -53,6 +56,25 @@ def test_edges_unique_sorted():
     assert len(np.unique(E, axis=0)) == len(E)
     # Euler: V - E + C = 1 for a disk
     assert mesh.n_vertices - len(E) + mesh.n_cells == 1
+
+
+def test_quality_report_format(tmp_path):
+    # the study writes one mesh_quality.csv row per level from Mesh.quality()
+    doc = {"command": "study", "model": {"p": 2.0, "delta": 1.0},
+           "discretization": {"T": 0.1, "levels": [2, 4], "sigma": 0.5}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "study"
+    assert main(["--config", str(config), "--output", str(out)]) == 0
+    lines = (out / "mesh_quality.csv").read_text().strip().split("\n")
+    assert lines[0] == "level,h_max,h_min,gamma"
+    assert len(lines) == 3
+    level, h_max, _, gamma = lines[1].split(",")
+    assert level == "2" and float(h_max) == 0.5
+    assert abs(float(gamma) - (1.0 + np.sqrt(2.0))) < 1e-10
+    level, h_max, _, gamma = lines[2].split(",")
+    assert level == "4" and float(h_max) == 0.25
+    assert abs(float(gamma) - (1.0 + np.sqrt(2.0))) < 1e-10
 
 
 def test_conformity_of_generated_meshes():
