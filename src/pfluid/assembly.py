@@ -3,8 +3,9 @@
 Per-iteration work at the quadrature points is batched dense matmuls
 on fixed layouts followed by one scatter.  Velocity values come from
 ``FESpace.eval_at_qp``, and the load vector is one matmul with the basis
-table.  Cell vectors are summed into global vectors with
-``np.bincount`` on ``local_vector_dofs().ravel()``.  Mass, stiffness and
+table of the callable's values, taken on blocks of ``RHS_BLOCK`` cells.
+Cell vectors are summed into global vectors with ``np.bincount`` on
+``local_vector_dofs().ravel()``.  Mass, stiffness and
 divergence, assembled once per space, are two-operand einsums scattered
 into scipy.sparse matrices.  The stress linearization, the convection
 and ``local_mass`` return element matrices of shape
@@ -74,13 +75,19 @@ the Newton and Picard iterations and the initial projection
 (``stepper``) all use it, on the one system a run builds.
 ``factor(A_local)`` condenses, factors in the stored order with static
 (diagonal) pivoting and returns a solver on the full unknowns that can
-be called with any number of right-hand sides.  Every call condenses the
-rhs, checks that the condensed solution is finite and that
-||K x - b|| <= ``RESIDUAL_TOL`` ||b|| for the factored K, and otherwise
-refactors K once with COLAMD and partial pivoting, logging a WARNING,
-and keeps that LU for later calls; LinearSolveError is raised when the
-check fails on it too.  The interior dofs are then recovered cell by
-cell.  Every factorization goes through the module attribute ``splu``.
+be called with any number of right-hand sides.  The per-cell factors
+of the condensation become three sparse operators on the interior and
+retained unknowns: the rhs condensation b_r - E_ri A_ii^-1 b_i, A_ii^-1,
+and the interior recovery A_ii^-1 E_ir x_r.  Their CSR patterns are built
+with the KKT pattern, and a factorization fills only their data, so
+every call is three sparse matvecs around the triangular solves (empty
+operators for Taylor-Hood).  Every call condenses the rhs, checks that
+the condensed solution is finite and that ||K x - b|| <=
+``RESIDUAL_TOL`` ||b|| for the factored K, and otherwise refactors K
+once with COLAMD and partial pivoting, logging a WARNING, and keeps that
+LU for later calls; LinearSolveError is raised when the check fails on
+it too.  The interior dofs are then recovered.  Every factorization goes
+through the module attribute ``splu``.
 """
 
 from __future__ import annotations
@@ -102,6 +109,8 @@ PINNED = 0
 RESIDUAL_TOL = 1e-10
 # the linearizations floor the shift at this times min(1, max |sym Du|)
 JAC_DELTA_FLOOR = 1e-8
+# cells per call of the pointwise callable of a load vector
+RHS_BLOCK = 256
 
 
 class LinearSolveError(RuntimeError):
@@ -199,13 +208,20 @@ def assemble_rhs(space, f, degree=5):
     _, phi, _, xq = space.tabulation(degree)
     wd = space.cell_weights(degree)
     nc, nq = xq.shape[:2]
-    vals = np.asarray(f(xq.reshape(-1, space.mesh.dim)), dtype=float)
-    vals = vals.reshape(nc, nq, -1)
-    if vals.shape[-1] != space.n_components:
-        raise ValueError(
-            f"callable returned {vals.shape[-1]} components, "
-            f"space has {space.n_components}"
-        )
+    # f is called on blocks of RHS_BLOCK cells: its temporaries scale with
+    # the points it is called at, and they would stack on the LU a step
+    # carries
+    vals = np.empty((nc, nq, space.n_components))
+    for start in range(0, nc, RHS_BLOCK):
+        xb = xq[start:start + RHS_BLOCK]
+        block = np.asarray(f(xb.reshape(-1, space.mesh.dim)), dtype=float)
+        block = block.reshape(len(xb), nq, -1)
+        if block.shape[-1] != space.n_components:
+            raise ValueError(
+                f"callable returned {block.shape[-1]} components, "
+                f"space has {space.n_components}"
+            )
+        vals[start:start + RHS_BLOCK] = block
     # cell[c, i, a] = sum_q wd vals[c, q, i] phi[q, a]
     cell = np.matmul(np.swapaxes(wd[:, :, None] * vals, 1, 2), phi)
     return _scatter_vector(space.local_vector_dofs(), cell, space.n_dofs)
@@ -402,8 +418,7 @@ class SaddleSystem:
     global divergence matrix, the pressure-basis means and the Dirichlet
     velocity dofs.  ``factorizations`` and ``pivot_fallbacks`` count the
     ``splu`` calls and the partial-pivot refactors of the solvers
-    ``factor`` returned; ``fill_nnz`` is the ``nnz`` of the last LU (0
-    when that factorization failed).
+    ``factor`` returned.
     """
 
     def __init__(self, v_space, q_space):
@@ -416,7 +431,6 @@ class SaddleSystem:
         self.bdofs = v_space.boundary_dofs()
         self.factorizations = 0
         self.pivot_fallbacks = 0
-        self.fill_nnz = 0
 
         # cell dofs come last in each component's local block
         nloc = v_space.n_local
@@ -424,7 +438,7 @@ class SaddleSystem:
         interior[:, nloc - v_space.element.cell_dofs :] = True
         self._kept_loc = np.flatnonzero(~interior)
         self._int_loc = np.flatnonzero(interior)
-        self._interior = v_dofs[:, self._int_loc]
+        idofs = v_dofs[:, self._int_loc]
         # a cell's kept velocity dofs couple to its interior through A_c
         # when it has one, its pressure dofs where B_i is nonzero
         B_i = B_local[:, :, self._int_loc]
@@ -434,7 +448,7 @@ class SaddleSystem:
         self._B_c = B_i[:, couples_p]
         self._Bt_c = -np.swapaxes(self._B_c, 1, 2).copy()
         is_retained = np.ones(self.nu + self.nq, dtype=bool)
-        is_retained[self._interior] = False
+        is_retained[idofs] = False
         self.retained = np.flatnonzero(is_retained)
         n = len(self.retained)
         self.shape = (n, n)
@@ -453,10 +467,10 @@ class SaddleSystem:
         vcell = np.where(unit[vcell], n, vcell)
         ccell = np.hstack([vcell[:, self._coupled_loc],
                            index[self.nu + q_dofs[:, couples_p]]])
-        self._cmap = np.where(unit[ccell], n, ccell)
+        cmap = np.where(unit[ccell], n, ccell)
 
         rows, cols, keeps = [], [], []
-        for cell in (vcell, self._cmap):
+        for cell in (vcell, cmap):
             r = np.repeat(cell, cell.shape[1], axis=1).ravel()
             c = np.tile(cell, (1, cell.shape[1])).ravel()
             keep = (r < n) & (c < n)
@@ -488,6 +502,27 @@ class SaddleSystem:
             self._maps.append(m)
             start = stop
         self._base = np.bincount(pos[start:], weights=fixed_vals, minlength=self.nnz)
+
+        # CSR patterns of the solver's per-cell operators, on the interior
+        # unknowns (``_interior``, cell by cell) and the retained unknowns
+        # in stored order (``_stored``); a cell's (row, column) pairs are
+        # its own, so no entry repeats.  Each pattern keeps the flat index
+        # into W or X of its entries, in CSR order, to fill its data from.
+        nc, ni = idofs.shape
+        ncpl = cmap.shape[1]
+        self._interior = idofs.ravel()
+        self._stored = self.retained[np.argsort(self.perm)]
+        k = np.arange(nc * ni).reshape(nc, ni)
+        at = np.append(self.perm, -1)[cmap]  # stored position, -1: dump slot
+        w_src = np.arange(nc * (ni + ncpl) * ni).reshape(nc, ni + ncpl, ni)
+        x_src = np.arange(nc * ni * ncpl).reshape(nc, ni, ncpl)
+        # E_ri A_ii^-1 b_i, A_ii^-1 b_i and A_ii^-1 E_ir x_r
+        self._ops = [
+            _csr_pattern(at[:, :, None], k[:, None, :], w_src[:, ni:], (n, nc * ni)),
+            _csr_pattern(k[:, :, None], k[:, None, :], w_src[:, :ni],
+                         (nc * ni, nc * ni)),
+            _csr_pattern(k[:, :, None], at[:, None, :], x_src, (nc * ni, n)),
+        ]
 
     def _pattern_data(self, k, values):
         """Data array of the cell values of source k (0: the velocity
@@ -529,7 +564,8 @@ class SaddleSystem:
         the ``pfluid.assembly`` logger, and that LU serves the later
         calls.  Raises LinearSolveError when a solve with it fails the
         check too.  The solver's ``K`` is the condensed matrix in stored
-        order.
+        order and its ``fill_nnz`` the ``nnz`` of its current LU (0 when
+        that factorization failed).
         """
         return _SaddleSolver(self, *self._condense(A_local))
 
@@ -558,6 +594,26 @@ def _invert_blocks(A):
     return np.stack([d, -b, -c, a], axis=-1).reshape(-1, 2, 2) / det[:, None, None]
 
 
+def _csr_pattern(rows, cols, src, shape):
+    """(src, indices, indptr, shape) of the CSR matrix with the entries
+    (rows, cols), broadcast together, that take their values from the flat
+    indices src of a source array; entries with a row or column of -1 are
+    dropped.  The pairs must be distinct."""
+    rows, cols, src = (a.ravel() for a in np.broadcast_arrays(rows, cols, src))
+    keep = (rows >= 0) & (cols >= 0)
+    rows, cols, src = rows[keep], cols[keep], src[keep]
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(shape[0] + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return src[order], cols[order].astype(np.int32), indptr, shape
+
+
+def _fill(pattern, values):
+    """CSR matrix of a ``_csr_pattern`` with its data read from values."""
+    src, indices, indptr, shape = pattern
+    return sparse.csr_matrix((values.ravel()[src], indices, indptr), shape=shape)
+
+
 def _minimum_degree_order(rows, cols, n):
     """Minimum-degree order of the pattern of K + K^T, as new positions.
 
@@ -575,14 +631,17 @@ def _minimum_degree_order(rows, cols, n):
 
 class _SaddleSolver:
     """LU of one condensed matrix of a ``SaddleSystem``, checked on every
-    solve, with the per-cell factors that recover the interior dofs."""
+    solve, with the sparse operators of the rhs condensation and the
+    interior recovery, filled from the per-cell factors W and X."""
 
     def __init__(self, system, K, W, X):
         self.system = system
         self.K = K
-        self.W = W  # [A_ii^-1; E_ri A_ii^-1] per cell
-        self.X = X  # A_ii^-1 E_ir per cell
+        cond, inv, rec = system._ops
+        self._cond, self._inv = _fill(cond, W), _fill(inv, W)
+        self._rec = _fill(rec, X)
         self.partial = False
+        self.fill_nnz = 0
         self.lu = self._factor(permc_spec="NATURAL", diag_pivot_thresh=0.0)
 
     def _factor(self, **options):
@@ -591,7 +650,7 @@ class _SaddleSolver:
             lu = splu(self.K, **options)
         except RuntimeError:  # SuperLU signals a singular factor this way
             lu = None
-        self.system.fill_nnz = getattr(lu, "nnz", 0)
+        self.fill_nnz = getattr(lu, "nnz", 0)
         return lu
 
     def _solve(self, b):
@@ -607,17 +666,10 @@ class _SaddleSolver:
 
     def __call__(self, rhs):
         kkt = self.system
-        n = kkt.shape[0]
         x = np.array(rhs, dtype=float)
         x[kkt.nu + PINNED] = 0.0
-        # b_r - E_ri A_ii^-1 b_i, cell by cell
-        ni = kkt._interior.shape[1]
-        Wb = np.matmul(self.W, x[kkt._interior][:, :, None])
-        z = Wb[:, :ni]
-        shift = np.bincount(kkt._cmap.ravel(), weights=Wb[:, ni:].ravel(),
-                            minlength=n + 1)
-        b = np.empty(n)
-        b[kkt.perm] = x[kkt.retained] - shift[:n]
+        b_i = x[kkt._interior]
+        b = x[kkt._stored] - self._cond @ b_i
         y, rel = self._solve(b)
         if not rel <= RESIDUAL_TOL and not self.partial:
             log.warning("static-pivot LU rejected (relative residual %.3g); "
@@ -628,11 +680,9 @@ class _SaddleSolver:
             y, rel = self._solve(b)
         if not rel <= RESIDUAL_TOL:
             raise LinearSolveError(f"sparse LU failed (relative residual {rel:.3g})")
-        xr = y[kkt.perm]
-        x[kkt.retained] = xr
+        x[kkt._stored] = y
         # u_i = A_ii^-1 (b_i - E_ir x_r), with unit unknowns read as 0
-        x_cell = np.append(xr, 0.0)[kkt._cmap]
-        x[kkt._interior] = (z - np.matmul(self.X, x_cell[:, :, None]))[:, :, 0]
+        x[kkt._interior] = self._inv @ b_i - self._rec @ y
         q = x[kkt.nu :]
         q -= (kkt.w @ q) / kkt.w.sum()
         return x

@@ -103,8 +103,9 @@ def parse_config(text: str) -> RunConfig:
     """Validate a JSON config document into a RunConfig.
 
     Unknown keys anywhere in the document are rejected, as are NaN,
-    Infinity, -Infinity and overflowing literals (1e400), which Python's
-    JSON reader accepts and range checks miss; error messages name the
+    Infinity, -Infinity and literals that overflow a float (1e400, or an
+    integer of 400 digits), which Python's JSON reader accepts and range
+    checks miss or meet with an OverflowError; error messages name the
     offending field or the violated invariant.
     """
     def finite(literal):
@@ -113,8 +114,13 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"non-finite number {literal} in config")
         return value
 
+    def finite_int(literal):
+        finite(literal)
+        return int(literal)
+
     try:
-        doc = json.loads(text, parse_float=finite, parse_constant=finite)
+        doc = json.loads(text, parse_float=finite, parse_int=finite_int,
+                         parse_constant=finite)
     except json.JSONDecodeError as e:
         raise ConfigError(
             f"config parse error at line {e.lineno}, column {e.colno}: {e.msg}"

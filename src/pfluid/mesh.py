@@ -31,9 +31,7 @@ class Mesh:
     cells : ndarray, shape (n_cells, 3)
         Vertex indices, positively oriented.
     boundary_facets : ndarray, shape (n_bfacets, 2)
-        Edges on the domain boundary.
-    boundary_markers : ndarray, shape (n_bfacets,)
-        Integer marker per boundary facet (1 = Dirichlet wall).
+        Edges on the domain boundary, all of them Dirichlet walls.
 
     Meshes are treated as immutable; the arrays are marked read-only.
     """
@@ -41,14 +39,12 @@ class Mesh:
     vertices: np.ndarray
     cells: np.ndarray
     boundary_facets: np.ndarray
-    boundary_markers: np.ndarray
     _edges: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.vertices = np.ascontiguousarray(self.vertices, dtype=float)
         self.cells = np.ascontiguousarray(self.cells, dtype=np.int64)
         self.boundary_facets = np.ascontiguousarray(self.boundary_facets, dtype=np.int64)
-        self.boundary_markers = np.ascontiguousarray(self.boundary_markers, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise ValueError("vertices must have shape (n, 2)")
         if self.cells.ndim != 2 or self.cells.shape[1] != 3:
@@ -57,7 +53,7 @@ class Mesh:
             raise ValueError("cell references a missing vertex")
         if np.any(self.cell_volumes() <= 0.0):
             raise ValueError("cells must be positively oriented and nondegenerate")
-        for arr in (self.vertices, self.cells, self.boundary_facets, self.boundary_markers):
+        for arr in (self.vertices, self.cells, self.boundary_facets):
             arr.setflags(write=False)
 
     @property
@@ -155,6 +151,4 @@ def unit_square_mesh(n) -> Mesh:
     sides.append(np.column_stack([g(n, r), g(n, r + 1)]))
     sides.append(np.column_stack([g(r + 1, n), g(r, n)]))
     sides.append(np.column_stack([g(0, r + 1), g(0, r)]))
-    bf = np.vstack(sides)
-    markers = np.ones(len(bf), dtype=np.int64)
-    return Mesh(vertices, cells, bf, markers)
+    return Mesh(vertices, cells, np.vstack(sides))

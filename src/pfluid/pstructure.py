@@ -224,13 +224,6 @@ class ShiftedNFunction:
             raise ValueError("N-function argument must be nonnegative")
         return _safe_pow(self._c() + t, self.model.p - 2.0) * t
 
-    def second(self, t):
-        """Second derivative (delta+a+t)^(p-3) (delta+a+(p-1) t)."""
-        t = np.asarray(t, dtype=float)
-        p = self.model.p
-        c = self._c()
-        return _safe_pow(c + t, p - 3.0) * (c + (p - 1.0) * t)
-
     def conjugate(self, s, rtol=1e-13, max_doublings=200):
         """Convex conjugate (phi_a)*(s) = sup_t (s t - phi_a(t)).
 

@@ -10,10 +10,13 @@ with the convecting field frozen at the previous step, so the
 nonlinearity entering Newton's method is the stress alone and its
 Jacobian moves little within a step.  Newton is therefore a chord
 method (Kelley, Iterative Methods for Linear and Nonlinear Equations,
-SIAM 1995, ch. 5): a step factors its KKT matrix once and reuses that
-LU for its later iterations while each accepted iteration contracts the
-residual by ``CHORD_CONTRACTION``; see ``StepperContext.step``.  The LU
-never outlives the step.  A step hands the velocity block of its KKT
+SIAM 1995, ch. 5): an LU of the KKT matrix serves later iterations while
+each accepted iteration contracts the residual by ``CHORD_CONTRACTION``;
+see ``StepperContext.step``.  Consecutive step matrices differ only by
+the change of the transport field and of the iterate, so the Newton LU
+a step ends with is carried into the next step as its first chord
+direction, and a level of a smooth run factors a handful of times
+rather than once per step.  A step hands the velocity block of its KKT
 matrix to ``assembly.SaddleSystem.factor`` as element matrices, so the
 MINI bubbles are condensed out cell by cell and only the P1-P1 system is
 factored; the solver returns the full velocity, and the residual that
@@ -27,6 +30,7 @@ PICARD_AFTER_REJECTS.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 import time
 
@@ -88,23 +92,27 @@ class SolverOptions:
                 f"method must be 'newton' or 'picard', got {self.method!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class StepDiagnostics:
     """What one step did.
 
+    ``residual_history`` holds the residual norm of the first iterate
+    and of every iteration as an ``array('d')``: a run keeps one record
+    per step, so the record is slotted and its floats are packed.
     ``factorizations`` counts its ``splu`` calls, partial-pivot refactors
     included, and ``pivot_fallbacks`` those refactors alone: static-pivot
     LUs whose solve failed the residual check.  ``fill_nnz`` is the
-    ``nnz`` of the step's last LU, 0 when it factored nothing: SuperLU's
-    own count of its stored L and U entries, read without building L and
-    U.  It includes the padding of the supernode blocks, so it can exceed
-    nnz(L) + nnz(U).
+    ``nnz`` of the LU of the step's last solve, carried from the previous
+    step or factored in this one, and 0 when the step solved nothing:
+    SuperLU's own count of its stored L and U entries, read without
+    building L and U.  It includes the padding of the supernode blocks,
+    so it can exceed nnz(L) + nnz(U).
     """
 
     iterations: int
     mode: str
     residual_norm: float
-    residual_history: list
+    residual_history: array
     converged: bool
     backtracks: int = 0
     factorizations: int = 0
@@ -119,6 +127,8 @@ class StepperContext:
     convection N of the step and the stress linearization, summed cell
     by cell.  The residual applies the same M/kappa + N as an element
     matvec (``assembly.local_matvec``), so no sparse M or N is built.
+    The context holds the Newton LU its last step ended with, for the
+    next step to try first.
     """
 
     def __init__(self, v_space, q_space, model, kappa, options=None):
@@ -129,9 +139,11 @@ class StepperContext:
         self.opts = options or SolverOptions()
         self.kkt = assembly.SaddleSystem(v_space, q_space)
         self.B, self.w, self.bdofs = self.kkt.B, self.kkt.w, self.kkt.bdofs
+        self._Bt = self.B.T.tocsr()
         # M/kappa as element matrices, the part of every KKT matrix that
         # stays fixed over the run
         self._fixed_data = assembly.local_mass(v_space) / self.kappa
+        self._lu = None  # the Newton LU the last step ended with
 
     def _residual(self, U, Q, step_data, rhs_u):
         """(R, state): the step residual at (U, Q) and the stress state
@@ -140,7 +152,7 @@ class StepperContext:
             self.v_space, U, self.model, degree=self.opts.quad_degree, jacobian=None
         )
         Ru = (assembly.local_matvec(self.v_space, step_data, U) + s
-              - self.B.T @ Q - rhs_u)
+              - self._Bt @ Q - rhs_u)
         Ru[self.bdofs] = U[self.bdofs]
         return np.concatenate([Ru, self.B @ U]), state
 
@@ -157,7 +169,8 @@ class StepperContext:
     def step(self, U_prev, Q_prev, t_m, f=None, initial=None):
         """Advance one step; returns (U, Q, StepDiagnostics).
 
-        Newton keeps the LU of its last fresh direction.  A fresh
+        Newton keeps the LU of its last fresh direction, and starts from
+        the LU the previous step ended with in Newton mode.  A fresh
         direction (no LU kept) is searched by Armijo backtracking.  A
         chord direction (the kept LU) is tried at full length only: if
         it is rejected, or its solve raises LinearSolveError, the LU is
@@ -165,8 +178,12 @@ class StepperContext:
         and the try counts as no iteration.  The LU is also dropped
         after every rejected line search and every accepted iteration
         with r_new > ``CHORD_CONTRACTION`` r_old.  Picard factors on
-        every iteration.
+        every iteration, and its LUs are not carried; a step that ends
+        in Picard mode or raises leaves no LU for the next.
         """
+        # the Newton LU kept for chord directions; a step that raises
+        # leaves none behind
+        lu, self._lu = self._lu, None
         opts = self.opts
         nu = self.v_space.n_dofs
         nq = self.q_space.n_dofs
@@ -200,20 +217,23 @@ class StepperContext:
         rejects = 0
         newton_iters = 0
         total_iters = 0
-        lu = None  # the Newton LU kept for chord directions
+        last = None  # the solver of the step's last solve
 
         def unpack(x):
             return x[:nu], x[nu:]
 
         def diagnostics(converged):
             lus = kkt.factorizations - factored
-            return StepDiagnostics(total_iters, mode, rnorm, history, converged,
-                                   backtracks, lus, kkt.pivot_fallbacks - fallbacks,
-                                   kkt.fill_nnz if lus else 0)
+            return StepDiagnostics(total_iters, mode, rnorm, array("d", history),
+                                   converged, backtracks, lus,
+                                   kkt.pivot_fallbacks - fallbacks,
+                                   0 if last is None else last.fill_nnz)
 
         x = np.concatenate([U, Q])
         while total_iters < MAX_NEWTON + MAX_PICARD:
             if rnorm <= tol_eff:
+                if mode == "newton":
+                    self._lu = lu
                 return x[:nu].copy(), x[nu:].copy(), diagnostics(True)
             U, Q = unpack(x)
             if mode == "newton" and newton_iters >= MAX_NEWTON:
@@ -223,6 +243,7 @@ class StepperContext:
                 try:
                     if not chord:
                         lu = self._factor(U, step_data, "newton", state)
+                    last = lu
                     d = lu(-R)
                 except assembly.LinearSolveError:
                     lu = None
@@ -266,8 +287,8 @@ class StepperContext:
                 # secant iteration with the frozen-weight operator; direct
                 # iterate, no line search
                 try:
-                    x = self._factor(U, step_data, "picard", state)(
-                        self.kkt.rhs(rhs_u, np.zeros(nq)))
+                    last = self._factor(U, step_data, "picard", state)
+                    x = last(self.kkt.rhs(rhs_u, np.zeros(nq)))
                 except assembly.LinearSolveError as exc:
                     raise NonConvergenceError(
                         f"linear solve failed at t={t_m:.6g}: {exc}"

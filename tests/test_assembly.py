@@ -152,6 +152,19 @@ def test_rhs_component_mismatch():
         assemble_rhs(vs, lambda X: np.ones(len(X)))
 
 
+def test_rhs_blocks_match_one_call(monkeypatch):
+    """Calling the callable on blocks of cells, the last one short, gives
+    the load vector of one call, for a vector field and for a scalar
+    callable that returns a 1-D array."""
+    vs, qs = mini_spaces(3)
+    cases = [(vs, lambda X: np.column_stack([np.sin(X[:, 0]), X[:, 0] * X[:, 1]])),
+             (qs, lambda X: np.exp(X[:, 1]))]
+    whole = [assemble_rhs(space, f) for space, f in cases]
+    monkeypatch.setattr(assembly, "RHS_BLOCK", 5)  # 36 cells: 7 full blocks and 1
+    for (space, f), ref in zip(cases, whole):
+        np.testing.assert_array_equal(assemble_rhs(space, f), ref)
+
+
 # -- stress residual and linearizations --------------------------------
 
 def test_stress_residual_zero_at_origin():
@@ -702,3 +715,55 @@ def test_recovered_bubbles_satisfy_full_rows():
     r = full @ x - rhs
     assert np.linalg.norm(r[bubbles]) < 1e-10 * np.linalg.norm(rhs)
     assert np.linalg.norm(r) < 1e-10 * np.linalg.norm(rhs)
+
+
+def ref_cell_condensation_solve(ctx, data, rhs):
+    """Solve with the condensed matrix of ctx.kkt, condensing the rhs and
+    recovering the interior dofs with dense per-cell formulas: b_r -=
+    E_ri A_ii^-1 b_i and u_i = A_ii^-1 (b_i - E_ir x_r), unit unknowns
+    (Dirichlet and pinned) untouched and read as 0."""
+    kkt, vs, qs = ctx.kkt, ctx.v_space, ctx.q_space
+    nu, nloc = kkt.nu, vs.n_local
+    unit = np.zeros(nu + kkt.nq, dtype=bool)
+    unit[kkt.bdofs] = True
+    unit[nu + PINNED] = True
+    pos = np.full(nu + kkt.nq, -1)
+    pos[kkt.retained] = np.arange(len(kkt.retained))
+    ncd = vs.element.cell_dofs
+    ii = np.concatenate([np.arange((i + 1) * nloc - ncd, (i + 1) * nloc)
+                         for i in range(2)])
+    rr = np.setdiff1d(np.arange(2 * nloc + qs.n_local), ii)
+    B_local = assembly._cell_divergence(vs, qs)
+    x = np.array(rhs, dtype=float)
+    x[nu + PINNED] = 0.0
+    b = x[kkt.retained]
+    cells = []
+    for c in range(vs.mesh.n_cells):
+        dofs = np.concatenate([vs.local_vector_dofs()[c], nu + qs.cell_dofs[c]])
+        E = np.zeros((len(dofs), len(dofs)))
+        E[: 2 * nloc, : 2 * nloc] = data[c]
+        E[: 2 * nloc, 2 * nloc :] = -B_local[c].T
+        E[2 * nloc :, : 2 * nloc] = B_local[c]
+        free = rr[~unit[dofs[rr]]]
+        A_ii = E[np.ix_(ii, ii)]
+        b_i = x[dofs[ii]]
+        b[pos[dofs[free]]] -= E[np.ix_(free, ii)] @ np.linalg.solve(A_ii, b_i)
+        cells.append((dofs, free, A_ii, b_i, E[np.ix_(ii, free)]))
+    y = np.linalg.solve(condensed(kkt, data), b)
+    x[kkt.retained] = y
+    for dofs, free, A_ii, b_i, E_ir in cells:
+        x[dofs[ii]] = np.linalg.solve(A_ii, b_i - E_ir @ y[pos[dofs[free]]])
+    x[nu:] -= (kkt.w @ x[nu:]) / kkt.w.sum()
+    return x
+
+
+@pytest.mark.parametrize("pair", ["MINI", "TH"])
+def test_sparse_condensation_matches_cell_formulas(pair):
+    """The solver's sparse condensation and recovery operators give the
+    solution of the per-cell formulas, for a rhs that is nonzero at the
+    Dirichlet and pinned unknowns too."""
+    ctx, data, _ = step_operator(pair, 4)
+    rng = np.random.default_rng(12)
+    rhs = rng.standard_normal(ctx.kkt.nu + ctx.kkt.nq)
+    ref = ref_cell_condensation_solve(ctx, data, rhs)
+    assert rel_err(ctx.kkt.factor(data)(rhs), ref) < 1e-12

@@ -291,7 +291,9 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     assert "p must lie in (1,2]" in payload["message"]
 
 
-@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize("constant", [
+    "NaN", "Infinity", "-Infinity", "1e400",
+    pytest.param("1" + "0" * 400, id="int-1e400")])
 @pytest.mark.parametrize("doc,key", [
     (simulate_doc(), "T"),
     ({"command": "bochner-check", "discretization": {}}, "T"),
@@ -300,7 +302,8 @@ def test_invalid_config_exit_code(tmp_path, capsys):
 ], ids=["simulate", "bochner-check", "study"])
 def test_non_finite_constant_rejected(tmp_path, capsys, constant, doc, key):
     # Python's JSON reader accepts these constants and reads an overflowing
-    # literal as inf, and range checks compare false on NaN
+    # literal as inf, range checks compare false on NaN, and an integer too
+    # large for a float raises OverflowError where it is converted
     doc = json.loads(json.dumps(doc))
     doc["discretization"][key] = 12345.0
     path = tmp_path / "config.json"

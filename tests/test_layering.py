@@ -2,7 +2,6 @@
 every definition in the package is referenced from it."""
 
 import ast
-import re
 from pathlib import Path
 
 import pfluid
@@ -69,20 +68,23 @@ UNREFERENCED_OK = {
 
 def unreferenced_names(sources):
     """Functions, classes and methods (dunders excluded) of the given
-    {file name: source} whose name appears as a word on no line other
-    than the lines defining it; ``__init__.py`` re-exports do not count."""
-    defs, text = {}, []
+    {file name: source} that no code names: no ``ast.Name`` or
+    ``ast.Attribute`` outside ``__init__.py``, whose re-exports do not
+    count, carries the name.  Comments and docstrings are not code;
+    f-strings, base classes and decorators are."""
+    defs, used = set(), set()
     for fname, source in sources.items():
         for node in ast.walk(ast.parse(source)):
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                     and not (node.name.startswith("__") and node.name.endswith("__"))):
-                defs.setdefault(node.name, set()).add((fname, node.lineno))
-        if fname != "__init__.py":
-            text += [(fname, i, set(re.findall(r"\w+", line)))
-                     for i, line in enumerate(source.splitlines(), 1)]
-    return sorted(name for name, where in defs.items()
-                  if not any(name in words and (f, i) not in where
-                             for f, i, words in text))
+                defs.add(node.name)
+            elif fname == "__init__.py":
+                continue
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(defs - used)
 
 
 def test_unreferenced_names_parser():
@@ -90,9 +92,13 @@ def test_unreferenced_names_parser():
         "a.py": "def used():\n    pass\n\ndef dead():\n    return used()\n",
         "b.py": "class Kept:\n    def only_here(self):\n        pass\n"
                 "    def __repr__(self):\n        return ''\n\nx = Kept()\n",
+        "c.py": "class Base:\n    pass\n\nclass Child(Base):\n"
+                "    \"\"\"Uses prose_only, in prose only.\"\"\"\n\n"
+                "def prose_only():\n    pass  # prose_only()\n\n"
+                "def in_fstring():\n    pass\n\ny = f\"{in_fstring()} {Child}\"\n",
         "__init__.py": "from .a import dead\nfrom .b import only_here\n",
     }
-    assert unreferenced_names(sources) == ["dead", "only_here"]
+    assert unreferenced_names(sources) == ["dead", "only_here", "prose_only"]
 
 
 def test_every_definition_is_referenced():

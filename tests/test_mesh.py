@@ -13,7 +13,6 @@ def test_unit_square_counts():
         assert mesh.n_vertices == (n + 1) ** 2 + n**2
         assert mesh.n_cells == 4 * n**2
         assert len(mesh.boundary_facets) == 4 * n
-        assert np.all(mesh.boundary_markers == 1)
 
 
 def test_unit_square_volumes():
@@ -37,7 +36,7 @@ def test_equilateral_gamma():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
     cells = np.array([[0, 1, 2]])
     bf = np.array([[0, 1], [1, 2], [2, 0]])
-    mesh = Mesh(verts, cells, bf, np.ones(3, dtype=np.int64))
+    mesh = Mesh(verts, cells, bf)
     assert abs(mesh.quality().gamma - np.sqrt(3.0)) < 1e-12
 
 
@@ -46,7 +45,7 @@ def test_negative_orientation_rejected():
     cells = np.array([[0, 2, 1]])  # clockwise
     bf = np.array([[0, 1], [1, 2], [2, 0]])
     with pytest.raises(ValueError):
-        Mesh(verts, cells, bf, np.ones(3, dtype=np.int64))
+        Mesh(verts, cells, bf)
 
 
 def test_edges_unique_sorted():

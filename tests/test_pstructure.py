@@ -70,14 +70,6 @@ def test_phi_matches_quadrature_of_derivative(p, delta, a):
         assert abs(sh.value(t) - ref) < 1e-10 + 10 * err
 
 
-def test_phi_second_is_derivative_of_phi_prime():
-    sh = StressModel(1.7, 0.2).shifted(0.4)
-    ts = np.linspace(0.1, 3.0, 7)
-    eps = 1e-6
-    fd = (sh.derivative(ts + eps) - sh.derivative(ts - eps)) / (2 * eps)
-    assert np.allclose(sh.second(ts), fd, rtol=1e-8)
-
-
 def test_conjugate_p2_closed_form():
     # p=2, a=0, delta=0: phi(t)=t^2/2 is self-conjugate
     sh = StressModel(2.0, 0.0).shifted(0.0)

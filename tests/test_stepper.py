@@ -77,13 +77,17 @@ def test_rest_state_is_exact():
 
 
 def test_p2_converges_in_one_newton_step():
-    # quadratic potential: the stress is linear, Newton is direct
+    # quadratic potential: the stress is linear, Newton is direct.  Later
+    # steps differ only by the convection, so step 1's LU, carried as a
+    # chord, finishes them without a factorization.
     vs, qs = mini_spaces(3)
     traj = run_simulation(
         vs, qs, StressModel(2.0, 1.0), TimeGrid(0.2, 4), bump,
         f=lambda t, X: np.column_stack(
             [np.cos(3 * t) * np.ones(len(X)), np.sin(2 * t) * X[:, 0]]))
-    assert all(d.iterations == 1 for d in traj.diagnostics)
+    first, *later = traj.diagnostics
+    assert first.iterations == 1 and first.factorizations == 1
+    assert all(d.factorizations == 0 for d in later)
     assert all(d.mode == "newton" and d.converged for d in traj.diagnostics)
 
 
@@ -217,8 +221,11 @@ def test_static_pivot_failure_falls_back_to_partial_pivoting(
     grid = TimeGrid(0.2, 4)
     traj = run_simulation(vs, qs, model, grid, bump)
     U_prev, Q_prev, t = traj.velocities[1], traj.pressures[1], grid.times()[2]
+    # the reference step on a context of its own, so the step under test
+    # starts without a carried LU
+    U_ref, _, diag_ref = StepperContext(vs, qs, model, grid.kappa).step(
+        U_prev, Q_prev, t)
     ctx = StepperContext(vs, qs, model, grid.kappa)
-    U_ref, _, diag_ref = ctx.step(U_prev, Q_prev, t)
 
     real_splu = assembly.splu
 
@@ -283,8 +290,8 @@ def test_step_counts_pivot_fallbacks_and_fill(monkeypatch):
 
 @pytest.mark.parametrize("pair", ["MINI", "TH"])
 def test_smooth_forced_steps_factor_once(pair):
-    """On a smooth forced run the first LU of a step carries its chord
-    iterations to convergence: one factorization per step."""
+    """On a smooth forced run the first LU carries the chord iterations
+    of every step to convergence: one factorization per run."""
     ms = manufactured_default()
     model = StressModel(1.8, 0.1)
     vel, pre = element_pair(pair)
@@ -293,8 +300,48 @@ def test_smooth_forced_steps_factor_once(pair):
     traj = run_simulation(vs, qs, model, TimeGrid(0.5, 16),
                           lambda X: ms.u(0.0, X), forcing_from(ms, model))
     assert all(d.converged and d.mode == "newton" for d in traj.diagnostics)
-    assert [d.factorizations for d in traj.diagnostics] == [1] * 16
+    assert [d.factorizations for d in traj.diagnostics] == [1] + [0] * 15
     assert max(d.iterations for d in traj.diagnostics) > 1
+
+
+@pytest.mark.parametrize("pair", ["MINI", "TH"])
+def test_carried_lu_matches_fresh_context_steps(pair):
+    """A step that starts from the LU its predecessor ended with converges
+    to the solution of the same step taken on a fresh context."""
+    ms = manufactured_default()
+    model = StressModel(1.8, 0.1)
+    vel, pre = element_pair(pair)
+    mesh = unit_square_mesh(4)
+    vs, qs = FESpace(mesh, vel, n_components=2), FESpace(mesh, pre)
+    grid = TimeGrid(0.5, 8)
+    f = forcing_from(ms, model)
+    traj = run_simulation(vs, qs, model, grid, lambda X: ms.u(0.0, X), f)
+    assert sum(d.factorizations for d in traj.diagnostics) < len(traj.diagnostics)
+    for m, t in enumerate(grid.times()[1:], start=1):
+        ctx = StepperContext(vs, qs, model, grid.kappa)
+        U, _, diag = ctx.step(traj.velocities[m - 1], traj.pressures[m - 1], t,
+                              lambda X, _t=t: f(_t, X))
+        assert diag.factorizations > 0
+        assert (np.linalg.norm(U - traj.velocities[m])
+                <= 1e-9 * np.linalg.norm(U))
+
+
+def test_raising_step_leaves_no_lu(monkeypatch):
+    """A converged Newton step leaves its LU for the next step; a step
+    that raises leaves none, whatever it was handed."""
+    vs, qs = mini_spaces(3)
+    model = StressModel(1.6, 0.1)
+    grid = TimeGrid(0.2, 4)
+    traj = run_simulation(vs, qs, model, grid, bump)
+    U1, Q1, t = traj.velocities[1], traj.pressures[1], grid.times()[2]
+    ctx = StepperContext(vs, qs, model, grid.kappa)
+    ctx.step(U1, Q1, t)
+    assert ctx._lu is not None
+    monkeypatch.setattr(stepper, "MAX_NEWTON", 0)
+    monkeypatch.setattr(stepper, "MAX_PICARD", 0)
+    with pytest.raises(NonConvergenceError):
+        ctx.step(U1, Q1, t)
+    assert ctx._lu is None
 
 
 @pytest.mark.parametrize("pair", ["MINI", "TH"])
@@ -345,9 +392,12 @@ def test_failed_chord_direction_refactors(monkeypatch, failure):
     grid = TimeGrid(0.2, 4)
     traj = run_simulation(vs, qs, model, grid, bump)
     U_prev, Q_prev, t = traj.velocities[1], traj.pressures[1], grid.times()[2]
-    ctx = StepperContext(vs, qs, model, grid.kappa)
-    U_ref, _, diag_ref = ctx.step(U_prev, Q_prev, t)
+    # the reference step on a context of its own, so the step under test
+    # starts without a carried LU
+    U_ref, _, diag_ref = StepperContext(vs, qs, model, grid.kappa).step(
+        U_prev, Q_prev, t)
     assert diag_ref.iterations > diag_ref.factorizations  # chords were taken
+    ctx = StepperContext(vs, qs, model, grid.kappa)
 
     real_factor = assembly.SaddleSystem.factor
     calls = []  # (solver index, solve index on that solver, rhs)
@@ -364,6 +414,7 @@ def test_failed_chord_direction_refactors(monkeypatch, failure):
             if failure == "raises":
                 raise assembly.LinearSolveError("chord solve failed")
             return (-1.0 if failure == "reversed" else 0.5) * solve(rhs)
+        sabotaged.fill_nnz = solve.fill_nnz
         return sabotaged
 
     monkeypatch.setattr(assembly.SaddleSystem, "factor", factor)
