@@ -2,16 +2,17 @@
 
 Per-iteration work at the quadrature points is batched dense matmuls
 on fixed layouts followed by one scatter.  Velocity values come from
-``FESpace.eval_at_qp``, and the load vector is one matmul with the basis
-table of the callable's values, taken on blocks of ``RHS_BLOCK`` cells.
-Cell vectors are summed into global vectors with ``np.bincount`` on
-``local_vector_dofs().ravel()``.  Mass, stiffness and
-divergence, assembled once per space, are two-operand einsums scattered
-into scipy.sparse matrices.  The stress linearization, the convection
-and ``local_mass`` return element matrices of shape
-(n_cells, d*n_local, d*n_local) on ``FESpace.local_vector_dofs``;
-``local_matvec`` applies them to a vector without assembling, and the
-saddle system takes them as they are.
+``FESpace.eval_at_qp``, and a load vector is one matmul per component
+of the weighted point values with the basis table (``load_vector``);
+``assemble_rhs`` takes those values from a pointwise callable on blocks
+of ``RHS_BLOCK`` cells.  Cell vectors are summed into global vectors
+with ``np.bincount`` on ``local_vector_dofs().ravel()``.  Mass,
+stiffness and divergence, assembled once per space, are two-operand
+einsums scattered into scipy.sparse matrices.  The stress
+linearization, the convection and ``local_mass`` return element
+matrices of shape (n_cells, d*n_local, d*n_local) on
+``FESpace.local_vector_dofs``; ``local_matvec`` applies them to a vector
+without assembling, and the saddle system takes them as they are.
 
 The stress terms start from one ``StressState`` per velocity iterate:
 sym Du = [[a, c], [c, b]] in three components at the quadrature points,
@@ -29,8 +30,8 @@ S(P) = (delta + |sym P|)^(p-2) sym P,
 
     DS(P) = g Sym + radial A (x) A,    A = sym P,
 
-with radial = g'(t)/t = (p-2)(delta+t)^(p-3)/t, the factors of
-``StressModel.jacobian_factors``.  Its element matrices are the
+with g = (delta + t)^(p-2) and radial = g'(t)/t = (p-2)(delta+t)^(p-3)/t,
+formed from the state's t.  Its element matrices are the
 g-weighted symmetric-gradient form, one matmul of the contiguous
 gradient rows with themselves, plus, for Newton only, the rank-one term
 radial v (x) v with v = (a d_x phi + c d_y phi, c d_x phi + b d_y phi)
@@ -203,15 +204,26 @@ def pressure_mean_vector(q_space, degree=None):
     return _scatter_vector(q_space.cell_dofs, wd @ psi, q_space.n_dofs)
 
 
+def load_vector(space, wvals, degree=5):
+    """Load vector of (v, phi) from wvals, the values of a field v at the
+    quadrature points of the degree rule times the weights
+    ``cell_weights(degree)``, component-major: shape (n_components,
+    n_cells, nq)."""
+    phi = space.tabulation(degree)[1]
+    # one (n_cells, nq) x (nq, n_local) product per component
+    cell = np.matmul(wvals, phi)
+    return _scatter_vector(space.local_vector_dofs(), cell.transpose(1, 0, 2),
+                           space.n_dofs)
+
+
 def assemble_rhs(space, f, degree=5):
     """Load vector of (f, phi) for a pointwise callable f."""
-    _, phi, _, xq = space.tabulation(degree)
-    wd = space.cell_weights(degree)
+    _, _, _, xq = space.tabulation(degree)
     nc, nq = xq.shape[:2]
     # f is called on blocks of RHS_BLOCK cells: its temporaries scale with
     # the points it is called at, and they would stack on the LU a step
     # carries
-    vals = np.empty((nc, nq, space.n_components))
+    vals = np.empty((space.n_components, nc, nq))
     for start in range(0, nc, RHS_BLOCK):
         xb = xq[start:start + RHS_BLOCK]
         block = np.asarray(f(xb.reshape(-1, space.mesh.dim)), dtype=float)
@@ -221,10 +233,9 @@ def assemble_rhs(space, f, degree=5):
                 f"callable returned {block.shape[-1]} components, "
                 f"space has {space.n_components}"
             )
-        vals[start:start + RHS_BLOCK] = block
-    # cell[c, i, a] = sum_q wd vals[c, q, i] phi[q, a]
-    cell = np.matmul(np.swapaxes(wd[:, :, None] * vals, 1, 2), phi)
-    return _scatter_vector(space.local_vector_dofs(), cell, space.n_dofs)
+        vals[:, start:start + RHS_BLOCK] = np.moveaxis(block, -1, 0)
+    vals *= space.cell_weights(degree)
+    return load_vector(space, vals, degree)
 
 
 def local_matvec(v_space, local, coeffs):
@@ -488,7 +499,11 @@ class SaddleSystem:
 
         self.perm = _minimum_degree_order(rows, cols, n)
         keys = self.perm[cols].astype(np.int64) * n + self.perm[rows]
-        uniq, pos = np.unique(keys, return_inverse=True)
+        # the entry lists and keys are the build's largest arrays: free
+        # them as soon as they are read
+        del rows, cols
+        uniq, pos = _unique_inverse(keys)
+        del keys
         self.nnz = len(uniq)
         self.indices = (uniq % n).astype(np.int32)
         self.indptr = np.searchsorted(uniq // n, np.arange(n + 1)).astype(np.int32)
@@ -576,6 +591,20 @@ class SaddleSystem:
 
     def split(self, x):
         return x[: self.nu], x[self.nu :]
+
+
+def _unique_inverse(keys):
+    """(uniq, pos): the sorted distinct keys and the int32 position of
+    each key in uniq, as ``np.unique(keys, return_inverse=True)`` gives
+    them with fewer full-length temporaries."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    first = np.empty(len(ordered), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    pos = np.empty(len(ordered), dtype=np.int32)
+    pos[order] = np.cumsum(first, dtype=np.int32) - 1
+    return ordered[first], pos
 
 
 def _invert_blocks(A):

@@ -294,12 +294,13 @@ def _run_simulate(cfg: RunConfig, outdir: Path) -> int:
     opts = SolverOptions(quad_degree=cfg.quad_flow)
     if cfg.manufactured is None:
         u0 = lambda X: np.zeros_like(np.asarray(X, dtype=float))
-        f = None
+        load = None
     else:
         ms = verif.manufactured_default(cfg.manufactured)
         u0 = lambda X: ms.u(0.0, X)
-        f = None if cfg.forcing == "zero" else verif.forcing_from(ms, model)
-    traj = run_simulation(V, Q, model, grid, u0, f, options=opts)
+        load = (None if cfg.forcing == "zero"
+                else verif.load_from(ms, model, V, cfg.quad_flow))
+    traj = run_simulation(V, Q, model, grid, u0, load, options=opts)
 
     norms = traj.l2_norms(cfg.quad_flow)
     fsq = traj.f_norm_sq(cfg.quad_flow)

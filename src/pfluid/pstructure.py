@@ -121,35 +121,6 @@ class StressModel:
         """(delta + t)^((p-2)/2), so that F(P) = f_weight(|sym P|) sym P."""
         return _safe_pow(self.delta + np.asarray(t, dtype=float), 0.5 * (self.p - 2.0))
 
-    def jacobian_factors(self, P):
-        """Factors of the stress derivative, returned as (A, g, radial).
-
-        With A = sym P and t = |A| the derivative is
-
-            DS(P) = g Sym + radial A (x) A,
-
-        g = (delta+t)^(p-2) and radial = g'(t)/t = (p-2)(delta+t)^(p-3)/t,
-        where Sym is the projection onto symmetric tensors.  A has shape
-        (..., d, d); g and radial have shape (...).
-
-        Raises
-        ------
-        DegenerateGradientError
-            If delta = 0 and |sym P| is below the representable
-            threshold, where the weight (delta+t)^(p-3) overflows.
-        """
-        A = sym_part(P)
-        t = tensor_norm(A)
-        tot = self.delta + t
-        _require_regular(self.delta, t)
-        p = self.p
-        g = _safe_pow(tot, p - 2.0)
-        # the limit for t -> 0 (delta > 0) is zero since |A (x) A| = t^2
-        tsafe = np.where(t > 0.0, t, 1.0)
-        radial = (p - 2.0) * _safe_pow(tot, p - 3.0) / tsafe
-        radial = np.where(t > 0.0, radial, 0.0)
-        return A, g, radial
-
     # -- scalar N-function ---------------------------------------------
 
     def phi(self, t):

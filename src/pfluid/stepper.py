@@ -23,9 +23,10 @@ factored; the solver returns the full velocity, and the residual that
 drives Newton stays on the full space.  The initial field is the
 divergence-preserving projection of the data, solved on the same pinned
 saddle system (``StepperContext.kkt``) as every step, so a run builds and
-orders one KKT pattern.  Step tolerances and iteration budgets are the
-module constants TOL, ABS_TOL, MAX_NEWTON, MAX_PICARD, MAX_BACKTRACK and
-PICARD_AFTER_REJECTS.
+orders one KKT pattern.  The load (f(t_m), v) reaches a step as a
+vector, from the one load callable of t a run is given.  Step tolerances
+and iteration budgets are the module constants TOL, ABS_TOL, MAX_NEWTON,
+MAX_PICARD, MAX_BACKTRACK and PICARD_AFTER_REJECTS.
 """
 
 from __future__ import annotations
@@ -166,8 +167,11 @@ class StepperContext:
         )
         return self.kkt.factor(step_data + K)
 
-    def step(self, U_prev, Q_prev, t_m, f=None, initial=None):
+    def step(self, U_prev, Q_prev, t_m, F=None, initial=None):
         """Advance one step; returns (U, Q, StepDiagnostics).
+
+        F is the step's load vector (f(t_m), v) on the velocity space,
+        None for no forcing; t_m only labels errors.
 
         Newton keeps the LU of its last fresh direction, and starts from
         the LU the previous step ended with in Newton mode.  A fresh
@@ -187,9 +191,7 @@ class StepperContext:
         opts = self.opts
         nu = self.v_space.n_dofs
         nq = self.q_space.n_dofs
-        if f is not None:
-            F = assembly.assemble_rhs(self.v_space, f, degree=opts.quad_degree)
-        else:
+        if F is None:
             F = np.zeros(nu)
         step_data = self._fixed_data + assembly.assemble_convection(self.v_space, U_prev)
         rhs_u = F + assembly.local_matvec(self.v_space, self._fixed_data, U_prev)
@@ -372,13 +374,16 @@ def div_preserving_projection(ctx: StepperContext, u0, degree=7) -> np.ndarray:
     return ctx.kkt.split(x)[0]
 
 
-def run_simulation(v_space, q_space, model, grid: TimeGrid, u0, f=None,
+def run_simulation(v_space, q_space, model, grid: TimeGrid, u0, load=None,
                    options=None) -> Trajectory:
     """Run the scheme over the grid from initial data u0.
 
     u0 is a callable mapping points (n, d) to values (n, d); it is
-    projected onto the discretely divergence-free subspace.  f, when
-    given, is called as f(t, X) with X of shape (n, d).
+    projected onto the discretely divergence-free subspace.  load, when
+    given, maps a step time t to the load vector (f(t), v) on v_space,
+    which the step at t takes as it is: ``verification.load_from`` for a
+    manufactured forcing, or ``lambda t: assembly.assemble_rhs(v_space,
+    lambda X: f(t, X), degree)`` for a pointwise f.
     """
     opts = options or SolverOptions()
     if grid.kappa > 1.0:
@@ -392,8 +397,8 @@ def run_simulation(v_space, q_space, model, grid: TimeGrid, u0, f=None,
     U_prev = U0
     Q_prev = pressures[0]
     for m, t_m in enumerate(grid.times()[1:], start=1):
-        fm = (lambda X, _t=t_m: f(_t, X)) if f is not None else None
-        U, Q, diag = ctx.step(U_prev, Q_prev, t_m, fm)
+        F = load(t_m) if load is not None else None
+        U, Q, diag = ctx.step(U_prev, Q_prev, t_m, F)
         velocities.append(U)
         pressures.append(Q)
         diags.append(diag)

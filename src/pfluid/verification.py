@@ -28,22 +28,43 @@ from .tables import report
 
 @dataclass
 class ManufacturedSolution:
-    """Closed-form exact solution on the unit square.
+    """Closed-form exact solution on the unit square in separable form,
 
-    All callables take (t, X) with X of shape (..., 2) and return
-    arrays with the trailing structure noted below.  ``flow`` returns
-    (u, dt_u, grad_u, hess_u) together, sharing the work the four
-    separate callables would repeat.
+        u(t, x) = alpha(t) u_hat(x),    q(t, x) = beta(t) q_hat(x).
+
+    ``alpha``, ``dalpha`` (= alpha') and ``beta`` map a time to a float.
+    ``velocity(X, order)`` returns [u_hat, grad u_hat, hess u_hat][:order + 1]
+    and ``pressure(X, order)`` returns [q_hat, grad q_hat][:order + 1] at
+    points X of shape (..., 2): the profiles at alpha = beta = 1, with
+    trailing shapes (..., 2), (..., 2, 2) (entry [i, j] = d u_i / d x_j)
+    and (..., 2, 2, 2) (entry [i, j, k] = d2 u_i / dx_j dx_k), and (...)
+    and (..., 2).  The fields below take (t, X) and are these products.
     """
 
     name: str
-    u: object        # (..., 2)
-    grad_u: object   # (..., 2, 2), entry [i, j] = d u_i / d x_j
-    hess_u: object   # (..., 2, 2, 2), entry [i, j, k] = d2 u_i / dx_j dx_k
-    dt_u: object     # (..., 2)
-    q: object        # (...)
-    grad_q: object   # (..., 2)
-    flow: object     # (t, X) -> (u, dt_u, grad_u, hess_u)
+    alpha: object
+    dalpha: object
+    beta: object
+    velocity: object
+    pressure: object
+
+    def u(self, t, X):
+        return self.alpha(t) * self.velocity(X, 0)[0]
+
+    def grad_u(self, t, X):
+        return self.alpha(t) * self.velocity(X, 1)[1]
+
+    def hess_u(self, t, X):
+        return self.alpha(t) * self.velocity(X, 2)[2]
+
+    def dt_u(self, t, X):
+        return self.dalpha(t) * self.velocity(X, 0)[0]
+
+    def q(self, t, X):
+        return self.beta(t) * self.pressure(X, 0)[0]
+
+    def grad_q(self, t, X):
+        return self.beta(t) * self.pressure(X, 1)[1]
 
 
 # alpha(t) and alpha'(t) of each time modulation
@@ -86,37 +107,49 @@ def _profile(X, order):
 _X, _Y = (..., 0), (..., 1)
 
 
-def _stream_velocity(prof, scale):
-    # scale * curl psi = scale * (a(x) a'(y), -a'(x) a(y))
+def _stream_velocity(prof):
+    # curl psi = (a(x) a'(y), -a'(x) a(y))
     a0, a1 = prof[:2]
     out = a0 * a1[..., ::-1]
-    out[..., 0] *= scale
-    out[..., 1] *= -scale
+    np.negative(out[..., 1], out=out[..., 1])
     return out
 
 
-def _stream_gradient(prof, al):
+def _stream_gradient(prof):
     a0, a1, a2 = prof[:3]
     G = np.empty(a0.shape + (2,))
-    G[..., 0, 0] = al * a1[_X] * a1[_Y]
-    G[..., 0, 1] = al * a0[_X] * a2[_Y]
-    G[..., 1, 0] = -al * a2[_X] * a0[_Y]
+    G[..., 0, 0] = a1[_X] * a1[_Y]
+    G[..., 0, 1] = a0[_X] * a2[_Y]
+    G[..., 1, 0] = -a2[_X] * a0[_Y]
     G[..., 1, 1] = -G[..., 0, 0]
     return G
 
 
-def _stream_hessian(prof, al):
+def _stream_hessian(prof):
     a0, a1, a2, a3 = prof
-    cb = al * a2[_X] * a1[_Y]
-    bc = al * a1[_X] * a2[_Y]
+    cb = a2[_X] * a1[_Y]
+    bc = a1[_X] * a2[_Y]
     H = np.empty(a0.shape + (2, 2))
     H[..., 0, 0, 0] = cb
     H[..., 0, 0, 1] = H[..., 0, 1, 0] = bc
-    H[..., 0, 1, 1] = al * a0[_X] * a3[_Y]
-    H[..., 1, 0, 0] = -al * a3[_X] * a0[_Y]
+    H[..., 0, 1, 1] = a0[_X] * a3[_Y]
+    H[..., 1, 0, 0] = -a3[_X] * a0[_Y]
     H[..., 1, 0, 1] = H[..., 1, 1, 0] = -cb
     H[..., 1, 1, 1] = -bc
     return H
+
+
+def _stream_profile(X, order):
+    # curl psi and its derivatives; one profile evaluation serves them all
+    prof = _profile(X, order + 1)
+    return [make(prof) for make in
+            (_stream_velocity, _stream_gradient, _stream_hessian)[:order + 1]]
+
+
+def _cubic_pressure(X, order):
+    # q_hat = x^3 + y^3 - 1/2 and its gradient
+    X = np.asarray(X, dtype=float)
+    return [X[_X] ** 3 + X[_Y] ** 3 - 0.5, 3.0 * (X * X)][:order + 1]
 
 
 def manufactured_default(alpha_kind="smooth-periodic") -> ManufacturedSolution:
@@ -125,80 +158,135 @@ def manufactured_default(alpha_kind="smooth-periodic") -> ManufacturedSolution:
     psi = a(x) a(y) with a(s) = s^2 (1-s)^2 has a double zero on the
     boundary, so the velocity (and the tangential part of its gradient)
     vanishes there; q = cos(2 pi t)(x^3 + y^3 - 1/2) has zero mean.
-    alpha_kind chooses the time modulation.  Every field is a product of
-    a, a', a'', a''' and alpha or alpha'; ``flow`` evaluates the profile
-    once for all four velocity fields.
+    alpha_kind chooses the time modulation.  The velocity profile is a
+    product of a, a', a'', a''', evaluated once for all requested orders.
     """
     if alpha_kind not in _ALPHAS:
         raise ValueError(
             f"unknown alpha kind {alpha_kind!r}; available: {sorted(_ALPHAS)}"
         )
     alpha, dalpha = _ALPHAS[alpha_kind]
-
-    def u(t, X):
-        return _stream_velocity(_profile(X, 1), alpha(t))
-
-    def dt_u(t, X):
-        return _stream_velocity(_profile(X, 1), dalpha(t))
-
-    def grad_u(t, X):
-        return _stream_gradient(_profile(X, 2), alpha(t))
-
-    def hess_u(t, X):
-        return _stream_hessian(_profile(X, 3), alpha(t))
-
-    def flow(t, X):
-        prof = _profile(X, 3)
-        al = alpha(t)
-        return (_stream_velocity(prof, al), _stream_velocity(prof, dalpha(t)),
-                _stream_gradient(prof, al), _stream_hessian(prof, al))
-
-    def q(t, X):
-        X = np.asarray(X, dtype=float)
-        return np.cos(2.0 * np.pi * t) * (X[_X] ** 3 + X[_Y] ** 3 - 0.5)
-
-    def grad_q(t, X):
-        X = np.asarray(X, dtype=float)
-        return (3.0 * np.cos(2.0 * np.pi * t)) * (X * X)
-
     return ManufacturedSolution(
-        name=alpha_kind, u=u, grad_u=grad_u, hess_u=hess_u, dt_u=dt_u, q=q,
-        grad_q=grad_q, flow=flow,
+        name=alpha_kind, alpha=alpha, dalpha=dalpha,
+        beta=lambda t: np.cos(2.0 * np.pi * t),
+        velocity=_stream_profile, pressure=_cubic_pressure,
     )
 
 
+# -- forcing -----------------------------------------------------------
+
+def _profile_terms(ms: ManufacturedSolution, X):
+    """The forcing's space tables at points X of shape (..., 2).
+
+    Returns (stress, linear).  stress = (t_hat, div_hat, mix_hat) are
+    the profile terms of the stress divergence, with A = sym grad u_hat =
+    [[a, c], [c, b]]: t_hat = |A|, div_hat = div A and mix_hat =
+    A (A : d A), (mix_hat)_i = sum_j A_ij (A : d_j A).  linear =
+    (u_hat, [grad u_hat] u_hat, grad q_hat) are the terms whose factors
+    alpha', alpha^2 and beta are the only time dependence.  Vector
+    terms are component-major, shape (2, ...).
+    """
+    u, G, H = ms.velocity(X, 2)
+    a, b, c = sym_components(G)
+    # d_j a, d_j b and d_j c at [..., j]
+    da, db = H[..., 0, 0, :], H[..., 1, 1, :]
+    dc = 0.5 * (H[..., 0, 1, :] + H[..., 1, 0, :])
+    div = np.stack([da[_X] + dc[_Y], dc[_X] + db[_Y]])
+    s = a[..., None] * da + b[..., None] * db + 2.0 * c[..., None] * dc  # A : d_j A
+    mix = np.stack([a * s[_X] + c * s[_Y], c * s[_X] + b * s[_Y]])
+    conv = np.stack([G[..., 0, 0] * u[_X] + G[..., 0, 1] * u[_Y],
+                     G[..., 1, 0] * u[_X] + G[..., 1, 1] * u[_Y]])
+    q_hat_grad = ms.pressure(X, 1)[1]
+    return ((sym_norm(a, b, c), div, mix),
+            (np.moveaxis(u, -1, 0), conv, np.moveaxis(q_hat_grad, -1, 0)))
+
+
+def _combine(ms: ManufacturedSolution, model: StressModel, t, stress, linear,
+             finish):
+    """f(t) = alpha' u_hat + alpha^2 [grad u_hat] u_hat + beta grad q_hat
+    - div S(alpha sym grad u_hat) from the profile terms of
+    ``_profile_terms``.
+
+    With A = alpha A_hat, t = |alpha| t_hat, g = (delta + t)^(p-2) and the
+    radial weight radial = g'(t)/t = (p-2)(delta+t)^(p-3)/t (0 at t = 0),
+
+        div S = alpha g div_hat + alpha^3 radial mix_hat.
+
+    finish maps that div S, shape (2, ...), to the form of the linear
+    terms: point values, or load vectors when div_hat and mix_hat carry
+    the quadrature weights.  For delta = 0, raises DegenerateGradientError
+    when min |alpha| t_hat < 1e-10: there the stress derivative is
+    singular.
+    """
+    al = ms.alpha(t)
+    t_hat, div, mix = stress
+    tt = abs(al) * t_hat
+    if model.delta == 0.0 and np.min(tt) < 1e-10:
+        raise DegenerateGradientError(
+            f"delta=0 forcing degenerates at t={t:.6g}: |sym Du| < 1e-10; "
+            "use a regularized model")
+    g = model.weight(tt)
+    pos = tt > 0.0
+    radial = np.where(pos, (model.p - 2.0) * g
+                      / ((model.delta + tt) * np.where(pos, tt, 1.0)), 0.0)
+    div_s = finish((al * g) * div + (al ** 3 * radial) * mix)
+    u_hat, conv_hat, grad_q_hat = linear
+    return ms.dalpha(t) * u_hat + (al * al) * conv_hat + ms.beta(t) * grad_q_hat - div_s
+
+
 def forcing_from(ms: ManufacturedSolution, model: StressModel):
-    """Forcing f = dt_u - div S(Du) + [grad u] u + grad q as a callable.
+    """Forcing f = dt_u - div S(Du) + [grad u] u + grad q as a pointwise
+    callable f(t, X), X of shape (..., 2).
 
-    div S is the chain rule through the closed-form stress derivative
-    DS = g Sym + radial A (x) A (``StressModel.jacobian_factors``) with
-    the analytic Hessian: with dA[..., k, l, j] = d_j A_kl,
-
-        (div S)_i = g sum_j dA[i, j, j] + radial sum_j A_ij (A : dA[..., j]).
-
-    For delta = 0 the stress derivative is singular where sym Du
-    vanishes, so f raises DegenerateGradientError when |sym Du| < 1e-10
-    at any point it is called at; a run calls it at its own quadrature
-    points at every step time.  The default solution family degenerates
-    only at isolated points (the domain center and corners), which the
-    default quadrature rules avoid.  Building f evaluates nothing.
+    Each call builds the space tables of ``_profile_terms`` at X and
+    combines them with the time factors (``_combine``), the formula of
+    ``load_from``.  div S is the chain rule through the closed-form
+    stress derivative DS = g Sym + radial A (x) A, with the analytic
+    Hessian of the profile.  For delta = 0, f raises
+    DegenerateGradientError when |sym Du| < 1e-10 at any point it is
+    called at.  The default solution family degenerates only at isolated
+    points (the domain center and corners), which the default quadrature
+    rules avoid.  Building f evaluates nothing.
     """
     def f(t, X):
-        X = np.asarray(X, dtype=float)
-        u, dt_u, G, H = ms.flow(t, X)
-        A, g, radial = model.jacobian_factors(G)
-        if model.delta == 0.0 and np.min(tensor_norm(A)) < 1e-10:
-            raise DegenerateGradientError(
-                f"delta=0 forcing degenerates at t={t:.6g}: |sym Du| < 1e-10; "
-                "use a regularized model")
-        dA = 0.5 * (H + np.swapaxes(H, -3, -2))  # d_j (sym grad u)_kl at [k,l,j]
-        AdA = np.einsum("...kl,...klj->...j", A, dA)
-        divS = (g[..., None] * np.einsum("...ijj->...i", dA)
-                + radial[..., None] * np.einsum("...ij,...j->...i", A, AdA))
-        conv = np.einsum("...il,...l->...i", G, u)
-        return dt_u + conv + ms.grad_q(t, X) - divS
+        stress, linear = _profile_terms(ms, np.asarray(X, dtype=float))
+        return np.moveaxis(_combine(ms, model, t, stress, linear, lambda v: v), 0, -1)
 
     return f
+
+
+def load_from(ms: ManufacturedSolution, model: StressModel, v_space: FESpace,
+              degree=5):
+    """Load vector callable t -> (f(t), phi) of the ``forcing_from``
+    forcing on v_space, integrated with the degree rule.
+
+    The space tables of ``_profile_terms`` are built once, at the space's
+    quadrature points in blocks of ``assembly.RHS_BLOCK`` cells: the
+    stress terms as t_hat and the weighted div_hat and mix_hat, five
+    floats a point, and the time-linear terms as their three load
+    vectors.  A call forms g(|alpha| t_hat) and the radial weight, and
+    makes one ``assembly.load_vector`` of div S.  The delta = 0 refusal
+    is that of ``forcing_from``, over all quadrature points.
+    """
+    xq = v_space.tabulation(degree)[3]
+    wd = v_space.cell_weights(degree)
+    nc, nq = xq.shape[:2]
+    t_hat, div, mix = np.empty((nc, nq)), np.empty((2, nc, nq)), np.empty((2, nc, nq))
+    linear = np.empty((3, 2, nc, nq))
+    for start in range(0, nc, assembly.RHS_BLOCK):
+        cells = slice(start, start + assembly.RHS_BLOCK)
+        (t_b, div_b, mix_b), linear_b = _profile_terms(ms, xq[cells])
+        t_hat[cells], div[:, cells], mix[:, cells] = t_b, div_b, mix_b
+        linear[:, :, cells] = linear_b
+    div *= wd
+    mix *= wd
+    linear = [assembly.load_vector(v_space, wd * values, degree) for values in linear]
+
+    def load(t):
+        return _combine(ms, model, t, (t_hat, div, mix), linear,
+                        lambda wvals: assembly.load_vector(v_space, wvals, degree))
+
+    return load
 
 
 # -- error quantities --------------------------------------------------
@@ -246,12 +334,17 @@ def error_record(traj: Trajectory, ms: ManufacturedSolution, model=None,
 
     sym Du is taken in its three components (``FESpace.sym_grad_at_qp``
     and ``sym_components`` of the exact gradient), so F(Du) =
-    f_weight(|sym Du|) sym Du and every norm is formed from them.
+    f_weight(|sym Du|) sym Du and every norm is formed from them.  The
+    exact profile u_hat and its sym D u_hat are evaluated once, at the
+    degree rule's points, and scaled by alpha(t_m) at each step.
     """
     model = model or traj.model
     sp_v = traj.v_space
-    rule, _, _, xq = sp_v.tabulation(degree)
-    Xflat = xq.reshape(-1, sp_v.mesh.dim)
+    xq = sp_v.tabulation(degree)[3]
+    u_hat, G_hat = ms.velocity(xq, 1)
+    A_hat = np.stack(sym_components(G_hat))
+    t_hat = sym_norm(*A_hat)
+    del G_hat
     p = model.p
     times = traj.grid.times()
     l2 = np.zeros(len(times))
@@ -260,16 +353,16 @@ def error_record(traj: Trajectory, ms: ManufacturedSolution, model=None,
     gpex = np.zeros(len(times))
     for m, tm in enumerate(times):
         U = traj.velocities[m]
+        al = ms.alpha(tm)
         uh = sp_v.eval_at_qp(U, degree)
         # components stacked as (3, nc, nq): a step allocates a few large
         # arrays, not many point-sized ones, which keeps the heap (and
         # the peak RSS of long runs) from fragmenting
         Ah = np.stack(sp_v.sym_grad_at_qp(U, degree))
-        ue = ms.u(tm, Xflat).reshape(uh.shape)
-        Ae = np.stack(sym_components(ms.grad_u(tm, Xflat).reshape(uh.shape + (2,))))
-        diff = uh - ue
+        Ae = al * A_hat
+        diff = uh - al * u_hat
         l2[m] = np.sqrt(sp_v.integrate(np.sum(diff * diff, -1), degree))
-        th, te = sym_norm(*Ah), sym_norm(*Ae)
+        th, te = sym_norm(*Ah), abs(al) * t_hat
         dF = sym_norm(*(model.f_weight(th) * Ah - model.f_weight(te) * Ae))
         f_dist[m] = np.sqrt(sp_v.integrate(dF * dF, degree))
         gperr[m] = sp_v.integrate(sym_norm(*(Ah - Ae)) ** p, degree) ** (1.0 / p)
@@ -411,15 +504,17 @@ def convergence_study(config: StudyConfig) -> StudyResult:
     Coupled mode asserts the compatibility h^(4/p') <= sigma0*kappa by
     reporting the monitor column; the step count at each level is
     M = round(T / (sigma h)) so kappa = T/M matches sigma*h up to
-    rounding.  Every delta >= 0 runs the default solver (Newton with the
-    Picard fallback); at delta = 0 the linearizations floor the
-    degenerate weight relative to the iterate
-    (``assembly.assemble_stress``).
+    rounding.  The monitor depends on h and kappa alone, so a coupling
+    under which it grows is refused before the first level runs.  Every
+    delta >= 0 runs the default solver (Newton with the Picard fallback);
+    at delta = 0 the linearizations floor the degenerate weight relative
+    to the iterate (``assembly.assemble_stress``).  Each level loads the
+    forcing through ``load_from``.
     """
     ms = manufactured_default(config.manufactured)
     model = StressModel(config.p, config.delta)
-    f = forcing_from(ms, model)
     opts = SolverOptions(quad_degree=config.quad_flow)
+    pprime = config.p / (config.p - 1.0)
 
     runs = []
     if config.mode == "coupled":
@@ -427,23 +522,32 @@ def convergence_study(config: StudyConfig) -> StudyResult:
             mesh = unit_square_mesh(n)
             h = mesh.quality().h_max
             M = max(1, round(config.t_end / (config.sigma * h)))
-            runs.append((n, mesh, TimeGrid(config.t_end, M)))
+            runs.append((n, mesh, h, TimeGrid(config.t_end, M)))
     else:
         mesh = unit_square_mesh(config.n_fixed)
+        h = mesh.quality().h_max
         for M in config.steps:
-            runs.append((config.n_fixed, mesh, TimeGrid(config.t_end, int(M))))
+            runs.append((config.n_fixed, mesh, h, TimeGrid(config.t_end, int(M))))
+    compat = [h ** (4.0 / pprime) / grid.kappa for _, _, h, grid in runs]
+    # kappa = sigma*h only satisfies h^(4/p') <= sigma0*kappa under
+    # refinement when the monitor does not grow (needs p > 4/3)
+    if config.mode == "coupled" and np.any(np.diff(compat) > 1e-12):
+        raise ValueError(
+            f"step-size coupling incompatible with p={config.p}: "
+            "h^(4/p')/kappa grows under refinement"
+        )
 
     rows = []
-    for n, mesh, grid in runs:
+    for (n, mesh, _, grid), monitor in zip(runs, compat):
         ev, eq = element_pair(config.element)
         V = FESpace(mesh, ev, n_components=2)
         Q = FESpace(mesh, eq, n_components=1)
-        traj = run_simulation(V, Q, model, grid, lambda X: ms.u(0.0, X), f,
+        traj = run_simulation(V, Q, model, grid, lambda X: ms.u(0.0, X),
+                              load_from(ms, model, V, config.quad_flow),
                               options=opts)
         rec = error_record(traj, ms, model, degree=config.quad_error)
         g = gronwall_check(harvest_gronwall(rec))
         energy = traj.energy_report(config.quad_flow)
-        pprime = config.p / (config.p - 1.0)
         rows.append(
             StudyRow(
                 p=config.p, delta=config.delta, level=n, h=rec.h,
@@ -451,20 +555,9 @@ def convergence_study(config: StudyConfig) -> StudyResult:
                 eoc_l2=np.nan, eoc_f=np.nan,
                 gronwall_mu4=g.mu4_required,
                 energy=energy["max_l2_sq"] + energy["dissipation"],
-                compat=rec.h ** (4.0 / pprime) / grid.kappa,
-                record=rec, traj=traj,
+                compat=monitor, record=rec, traj=traj,
             )
         )
-
-    if config.mode == "coupled":
-        compat = np.array([r.compat for r in rows])
-        # kappa = sigma*h only satisfies h^(4/p') <= sigma0*kappa under
-        # refinement when the monitor does not grow (needs p > 4/3)
-        if np.any(np.diff(compat) > 1e-12):
-            raise ValueError(
-                f"step-size coupling incompatible with p={config.p}: "
-                "h^(4/p')/kappa grows under refinement"
-            )
 
     xs = [r.h for r in rows] if config.mode == "coupled" else [r.kappa for r in rows]
     el2 = eoc_pairs([r.err_l2max for r in rows], xs)

@@ -1,11 +1,39 @@
-"""Reference operators the tests compare against (the 4-index stress
-Jacobian and the sparse matrix of vector element matrices) and closed-form
-flows that the default manufactured family does not cover."""
+"""Reference operators the tests compare against (the factors of the
+stress derivative, the 4-index stress Jacobian and the sparse matrix of
+vector element matrices) and closed-form flows that the default
+manufactured family does not cover."""
 
 import numpy as np
 from scipy import sparse
 
+from pfluid.pstructure import _require_regular, _safe_pow, sym_part, tensor_norm
 from pfluid.verification import ManufacturedSolution
+
+
+def jacobian_factors(model, P):
+    """Factors of the stress derivative, returned as (A, g, radial).
+
+    With A = sym P and t = |A| the derivative is
+
+        DS(P) = g Sym + radial A (x) A,
+
+    g = (delta+t)^(p-2) and radial = g'(t)/t = (p-2)(delta+t)^(p-3)/t,
+    where Sym is the projection onto symmetric tensors.  A has shape
+    (..., d, d); g and radial have shape (...).  Raises
+    DegenerateGradientError if delta = 0 and |sym P| is below the
+    representable threshold, where (delta+t)^(p-3) overflows.
+    """
+    A = sym_part(P)
+    t = tensor_norm(A)
+    tot = model.delta + t
+    _require_regular(model.delta, t)
+    p = model.p
+    g = _safe_pow(tot, p - 2.0)
+    # the limit for t -> 0 (delta > 0) is zero since |A (x) A| = t^2
+    tsafe = np.where(t > 0.0, t, 1.0)
+    radial = (p - 2.0) * _safe_pow(tot, p - 3.0) / tsafe
+    radial = np.where(t > 0.0, radial, 0.0)
+    return A, g, radial
 
 
 def stress_jacobian(model, P):
@@ -13,10 +41,10 @@ def stress_jacobian(model, P):
 
     Index convention: J[..., i, j, k, l] = d S_ij / d P_kl.  The result
     is symmetric under (i,j,k,l) -> (k,l,i,j).  Built from
-    ``StressModel.jacobian_factors``, which raises
-    DegenerateGradientError at sym P = 0 when delta = 0.
+    ``jacobian_factors``, which raises DegenerateGradientError at
+    sym P = 0 when delta = 0.
     """
-    A, g, radial = model.jacobian_factors(P)
+    A, g, radial = jacobian_factors(model, P)
     eye = np.eye(A.shape[-1])
     sym4 = 0.5 * (np.einsum("ik,jl->ijkl", eye, eye) + np.einsum("il,jk->ijkl", eye, eye))
     outer = np.einsum("...ij,...kl->...ijkl", A, A)
@@ -34,14 +62,22 @@ def global_matrix(v_space, local):
                              shape=(n, n)).tocsr()
 
 
-def solution_from(name, u, grad_u, hess_u, dt_u):
-    """ManufacturedSolution of the given velocity fields, zero pressure."""
-    return ManufacturedSolution(
-        name=name, u=u, grad_u=grad_u, hess_u=hess_u, dt_u=dt_u,
-        q=lambda t, X: np.zeros(X.shape[:-1]),
-        grad_q=lambda t, X: np.zeros(X.shape[:-1] + (2,)),
-        flow=lambda t, X: (u(t, X), dt_u(t, X), grad_u(t, X), hess_u(t, X)),
-    )
+def solution_from(name, alpha, dalpha, fields):
+    """ManufacturedSolution u = alpha(t) u_hat with zero pressure.
+
+    fields maps points X of shape (..., 2) to [u_hat, grad u_hat,
+    hess u_hat].
+    """
+    def velocity(X, order):
+        return fields(np.asarray(X, dtype=float))[:order + 1]
+
+    def pressure(X, order):
+        X = np.asarray(X, dtype=float)
+        return [np.zeros(X.shape[:-1]), np.zeros(X.shape)][:order + 1]
+
+    return ManufacturedSolution(name=name, alpha=alpha, dalpha=dalpha,
+                                beta=lambda t: 0.0, velocity=velocity,
+                                pressure=pressure)
 
 
 def pure_strain():
@@ -52,15 +88,8 @@ def pure_strain():
     Jacobian, but degenerate for a delta = 0 forcing.
     """
     sign = np.array([1.0, -1.0])
-
-    def alpha(t):
-        return t - 0.5 + 1e-12
-
     return solution_from(
-        "pure-strain",
-        u=lambda t, X: alpha(t) * X * sign,
-        grad_u=lambda t, X: alpha(t) * np.broadcast_to(np.diag(sign),
-                                                       X.shape[:-1] + (2, 2)),
-        hess_u=lambda t, X: np.zeros(X.shape[:-1] + (2, 2, 2)),
-        dt_u=lambda t, X: X * sign,
-    )
+        "pure-strain", alpha=lambda t: t - 0.5 + 1e-12, dalpha=lambda t: 1.0,
+        fields=lambda X: [X * sign,
+                          np.broadcast_to(np.diag(sign), X.shape[:-1] + (2, 2)),
+                          np.zeros(X.shape[:-1] + (2, 2, 2))])

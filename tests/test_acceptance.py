@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from pfluid.assembly import assemble_rhs
 from pfluid.fespace import FESpace, element_pair
 from pfluid.mesh import unit_square_mesh
 from pfluid.pstructure import RATIO_NAMES, StressModel, equivalence_envelope
@@ -270,7 +271,8 @@ def solver_path_disagreement(model):
     vs = FESpace(mesh, vel, n_components=2)
     qs = FESpace(mesh, pre)
     grid = TimeGrid(0.5, 16)
-    traj = run_simulation(vs, qs, model, grid, lambda X: ms.u(0.0, X), f)
+    load = lambda t: assemble_rhs(vs, lambda X: f(t, X))
+    traj = run_simulation(vs, qs, model, grid, lambda X: ms.u(0.0, X), load)
 
     newton = StepperContext(vs, qs, model, grid.kappa)
     picard = StepperContext(vs, qs, model, grid.kappa,
@@ -281,10 +283,10 @@ def solver_path_disagreement(model):
     for m in steps:
         tm = grid.times()[m]
         args = (traj.velocities[m - 1], traj.pressures[m - 1], tm)
-        fm = lambda X, _t=tm: f(_t, X)
-        U_n, _, _ = newton.step(*args, f=fm)
-        U_p, _, _ = picard.step(*args, f=fm)
-        U_c, _, _ = newton.step(*args, f=fm,
+        F = load(tm)
+        U_n, _, _ = newton.step(*args, F=F)
+        U_p, _, _ = picard.step(*args, F=F)
+        U_c, _, _ = newton.step(*args, F=F,
                                 initial=(np.zeros(vs.n_dofs),
                                          np.zeros(qs.n_dofs)))
         scale = 1.0 + np.linalg.norm(U_n)

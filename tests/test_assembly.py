@@ -680,6 +680,17 @@ def test_cached_kkt_matches_bmat_build(pair):
         assert ctx.kkt.nnz == np.count_nonzero(ref)
 
 
+def test_unique_inverse_matches_numpy():
+    """The pattern build's sort-based unique gives np.unique's distinct
+    keys and inverse, for int64 keys beyond the int32 range."""
+    keys = np.random.default_rng(3).integers(0, 50, 2000) * (2**40) + 7
+    uniq, pos = assembly._unique_inverse(keys)
+    ref, inverse = np.unique(keys, return_inverse=True)
+    np.testing.assert_array_equal(uniq, ref)
+    np.testing.assert_array_equal(pos, inverse)
+    assert pos.dtype == np.int32
+
+
 @pytest.mark.parametrize("pair", ["MINI", "TH"])
 def test_pinned_solve_matches_augmented(pair):
     """Pinning plus the mean shift reproduces the multiplier solve."""

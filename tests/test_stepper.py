@@ -81,10 +81,13 @@ def test_p2_converges_in_one_newton_step():
     # steps differ only by the convection, so step 1's LU, carried as a
     # chord, finishes them without a factorization.
     vs, qs = mini_spaces(3)
+    def f(t, X):
+        return np.column_stack(
+            [np.cos(3 * t) * np.ones(len(X)), np.sin(2 * t) * X[:, 0]])
+
     traj = run_simulation(
         vs, qs, StressModel(2.0, 1.0), TimeGrid(0.2, 4), bump,
-        f=lambda t, X: np.column_stack(
-            [np.cos(3 * t) * np.ones(len(X)), np.sin(2 * t) * X[:, 0]]))
+        load=lambda t: assemble_rhs(vs, lambda X: f(t, X)))
     first, *later = traj.diagnostics
     assert first.iterations == 1 and first.factorizations == 1
     assert all(d.factorizations == 0 for d in later)
@@ -102,7 +105,8 @@ def test_p2_matches_independent_linear_stepper():
         return np.column_stack(
             [np.cos(3 * t) * np.ones(len(X)), np.sin(2 * t) * X[:, 0]])
 
-    traj = run_simulation(vs, qs, model, grid, bump, f=f)
+    traj = run_simulation(vs, qs, model, grid, bump,
+                          load=lambda t: assemble_rhs(vs, lambda X: f(t, X)))
 
     E = assemble_stress(vs, np.zeros(vs.n_dofs), model, jacobian="newton")[1]
     M = assemble_mass(vs)
@@ -297,8 +301,9 @@ def test_smooth_forced_steps_factor_once(pair):
     vel, pre = element_pair(pair)
     mesh = unit_square_mesh(8)
     vs, qs = FESpace(mesh, vel, n_components=2), FESpace(mesh, pre)
-    traj = run_simulation(vs, qs, model, TimeGrid(0.5, 16),
-                          lambda X: ms.u(0.0, X), forcing_from(ms, model))
+    f = forcing_from(ms, model)
+    traj = run_simulation(vs, qs, model, TimeGrid(0.5, 16), lambda X: ms.u(0.0, X),
+                          lambda t: assemble_rhs(vs, lambda X: f(t, X)))
     assert all(d.converged and d.mode == "newton" for d in traj.diagnostics)
     assert [d.factorizations for d in traj.diagnostics] == [1] + [0] * 15
     assert max(d.iterations for d in traj.diagnostics) > 1
@@ -315,12 +320,13 @@ def test_carried_lu_matches_fresh_context_steps(pair):
     vs, qs = FESpace(mesh, vel, n_components=2), FESpace(mesh, pre)
     grid = TimeGrid(0.5, 8)
     f = forcing_from(ms, model)
-    traj = run_simulation(vs, qs, model, grid, lambda X: ms.u(0.0, X), f)
+    load = lambda t: assemble_rhs(vs, lambda X: f(t, X))
+    traj = run_simulation(vs, qs, model, grid, lambda X: ms.u(0.0, X), load)
     assert sum(d.factorizations for d in traj.diagnostics) < len(traj.diagnostics)
     for m, t in enumerate(grid.times()[1:], start=1):
         ctx = StepperContext(vs, qs, model, grid.kappa)
         U, _, diag = ctx.step(traj.velocities[m - 1], traj.pressures[m - 1], t,
-                              lambda X, _t=t: f(_t, X))
+                              load(t))
         assert diag.factorizations > 0
         assert (np.linalg.norm(U - traj.velocities[m])
                 <= 1e-9 * np.linalg.norm(U))
@@ -373,8 +379,9 @@ def test_fresh_newton_operator_reuses_residual_state(monkeypatch, pair):
     vel, pre = element_pair(pair)
     mesh = unit_square_mesh(8)
     vs, qs = FESpace(mesh, vel, n_components=2), FESpace(mesh, pre)
-    traj = run_simulation(vs, qs, model, TimeGrid(0.5, 8),
-                          lambda X: ms.u(0.0, X), forcing_from(ms, model))
+    f = forcing_from(ms, model)
+    traj = run_simulation(vs, qs, model, TimeGrid(0.5, 8), lambda X: ms.u(0.0, X),
+                          lambda t: assemble_rhs(vs, lambda X: f(t, X)))
     assert counts["newton"] == sum(d.factorizations for d in traj.diagnostics) > 0
     assert counts["residuals"] > counts["newton"]
     assert counts["gradients"] == counts["residuals"]

@@ -2,6 +2,7 @@
 forcing cross-checks by finite differences, error bookkeeping, and the
 inequality checkers on hand-built data."""
 
+from dataclasses import replace
 import os
 from pathlib import Path
 import subprocess
@@ -11,10 +12,12 @@ import numpy as np
 import pytest
 
 import pfluid
+from pfluid import verification
+from pfluid.assembly import assemble_rhs
 from pfluid.fespace import FESpace, element_pair, interpolate, quadrature_for
 from pfluid.mesh import unit_square_mesh
 from pfluid.pstructure import DegenerateGradientError, StressModel, sym_part, tensor_norm
-from pfluid.stepper import TimeGrid, Trajectory
+from pfluid.stepper import TimeGrid, Trajectory, run_simulation
 from pfluid.verification import (
     CSV_HEADER,
     GronwallData,
@@ -32,6 +35,7 @@ from pfluid.verification import (
     gronwall_check,
     harvest_gronwall,
     least_squares_rate,
+    load_from,
     manufactured_default,
     quasi_norm_suite,
     weak_residual_check,
@@ -177,6 +181,7 @@ def test_manufactured_needs_no_sympy():
         "from pfluid.mesh import unit_square_mesh\n"
         "from pfluid.pstructure import StressModel\n"
         "from pfluid.stepper import TimeGrid, run_simulation\n"
+        "from pfluid.assembly import assemble_rhs\n"
         "from pfluid.verification import forcing_from, manufactured_default\n"
         "X = np.array([[0.3, 0.6], [0.7, 0.2]])\n"
         "for kind in ('smooth-periodic', 'time-dominant'):\n"
@@ -185,9 +190,10 @@ def test_manufactured_needs_no_sympy():
         "vel, pre = element_pair('MINI')\n"
         "mesh = unit_square_mesh(2)\n"
         "f = forcing_from(ms, StressModel(1.8, 0.0))\n"
-        "run_simulation(FESpace(mesh, vel, n_components=2), FESpace(mesh, pre),\n"
-        "               StressModel(1.8, 0.0), TimeGrid(0.1, 1),\n"
-        "               lambda X: ms.u(0.0, X), f)\n"
+        "V = FESpace(mesh, vel, n_components=2)\n"
+        "run_simulation(V, FESpace(mesh, pre), StressModel(1.8, 0.0), TimeGrid(0.1, 1),\n"
+        "               lambda X: ms.u(0.0, X),\n"
+        "               lambda t: assemble_rhs(V, lambda X: f(t, X)))\n"
         "assert 'sympy' not in sys.modules\n"
         "assert 'scipy.special' not in sys.modules\n"
     )
@@ -262,16 +268,26 @@ def test_forcing_raises_where_du_vanishes(ms):
 
 
 def test_manufactured_flow_matches_separate_fields():
-    """The joint evaluation equals the four separate callables exactly."""
+    """The joint profile evaluation equals the lower orders exactly, and
+    every field is its time factor times its profile."""
     X = interior_points(np.random.default_rng(9), 50)
     for kind in KINDS:
         sol = manufactured_default(kind)
-        for t in (0.0, 0.41):
-            joint = sol.flow(t, X)
-            apart = (sol.u(t, X), sol.dt_u(t, X), sol.grad_u(t, X),
-                     sol.hess_u(t, X))
-            for a, b in zip(joint, apart):
+        joint = sol.velocity(X, 2)
+        assert len(joint) == 3
+        for order in (0, 1):
+            for a, b in zip(sol.velocity(X, order), joint):
                 np.testing.assert_array_equal(a, b)
+        q_hat, grad_q_hat = sol.pressure(X, 1)
+        np.testing.assert_array_equal(sol.pressure(X, 0)[0], q_hat)
+        for t in (0.0, 0.41):
+            al, dal, beta = sol.alpha(t), sol.dalpha(t), sol.beta(t)
+            np.testing.assert_array_equal(sol.u(t, X), al * joint[0])
+            np.testing.assert_array_equal(sol.grad_u(t, X), al * joint[1])
+            np.testing.assert_array_equal(sol.hess_u(t, X), al * joint[2])
+            np.testing.assert_array_equal(sol.dt_u(t, X), dal * joint[0])
+            np.testing.assert_array_equal(sol.q(t, X), beta * q_hat)
+            np.testing.assert_array_equal(sol.grad_q(t, X), beta * grad_q_hat)
 
 
 def rigid_rotation():
@@ -279,12 +295,10 @@ def rigid_rotation():
     point."""
     rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
     return solution_from(
-        "rigid-rotation",
-        u=lambda t, X: np.stack([X[..., 1], -X[..., 0]], axis=-1),
-        grad_u=lambda t, X: np.broadcast_to(rot, X.shape[:-1] + (2, 2)),
-        hess_u=lambda t, X: np.zeros(X.shape[:-1] + (2, 2, 2)),
-        dt_u=lambda t, X: np.zeros(X.shape[:-1] + (2,)),
-    )
+        "rigid-rotation", alpha=lambda t: 1.0, dalpha=lambda t: 0.0,
+        fields=lambda X: [np.stack([X[..., 1], -X[..., 0]], axis=-1),
+                          np.broadcast_to(rot, X.shape[:-1] + (2, 2)),
+                          np.zeros(X.shape[:-1] + (2, 2, 2))])
 
 
 def quadrature_points(n, degree):
@@ -313,9 +327,62 @@ def test_forcing_from_evaluates_nothing():
     def refuse(*args):
         raise AssertionError("field evaluated at construction")
 
-    names = ("u", "grad_u", "hess_u", "dt_u", "q", "grad_q", "flow")
+    names = ("alpha", "dalpha", "beta", "velocity", "pressure")
     forcing_from(ManufacturedSolution(name="refuse", **dict.fromkeys(names, refuse)),
                  StressModel(1.5, 0.0))
+
+
+@pytest.mark.parametrize("pair", ["MINI", "TH"])
+@pytest.mark.parametrize("delta", [0.1, 0.0])
+@pytest.mark.parametrize("kind", KINDS)
+def test_load_from_matches_pointwise_forcing(kind, delta, pair):
+    """The run's load vector, built from tables made once, equals the
+    load vector of the pointwise forcing at every time."""
+    sol = manufactured_default(kind)
+    model = StressModel(1.7, delta)
+    vel, _ = element_pair(pair)
+    vs = FESpace(unit_square_mesh(4), vel, n_components=2)
+    load = load_from(sol, model, vs, 5)
+    f = forcing_from(sol, model)
+    for t in (0.0, 0.3, 0.77):
+        ref = assemble_rhs(vs, lambda X: f(t, X), degree=5)
+        assert np.linalg.norm(load(t) - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_run_evaluates_velocity_profile_independent_of_steps(ms):
+    """A forced run evaluates the velocity profile for the initial
+    projection and the load tables, the same number of times for any
+    number of steps."""
+    vel, pre = element_pair("MINI")
+    mesh = unit_square_mesh(4)
+    vs, qs = FESpace(mesh, vel, n_components=2), FESpace(mesh, pre)
+    model = StressModel(1.8, 0.1)
+    counts = []
+    for M in (2, 6):
+        calls = [0]
+
+        def velocity(X, order, _calls=calls):
+            _calls[0] += 1
+            return ms.velocity(X, order)
+
+        counted = replace(ms, velocity=velocity)
+        run_simulation(vs, qs, model, TimeGrid(0.2, M), lambda X: counted.u(0.0, X),
+                       load_from(counted, model, vs, 5))
+        counts.append(calls[0])
+    assert counts[0] == counts[1] > 0
+
+
+def test_pure_strain_run_refuses_at_degenerate_time():
+    """A delta = 0 run refuses the load at the step time where
+    |sym Du| drops below 1e-10, after the steps before it."""
+    vel, pre = element_pair("MINI")
+    mesh = unit_square_mesh(2)
+    vs, qs = FESpace(mesh, vel, n_components=2), FESpace(mesh, pre)
+    sol, model = pure_strain(), StressModel(1.5, 0.0)
+    load = load_from(sol, model, vs, 5)
+    assert np.all(np.isfinite(load(0.25)))
+    with pytest.raises(DegenerateGradientError, match="t=0.5"):
+        run_simulation(vs, qs, model, TimeGrid(0.5, 2), lambda X: sol.u(0.0, X), load)
 
 
 def test_forcing_refuses_near_degenerate_time():
@@ -448,6 +515,18 @@ def test_coupled_study_rejects_incompatible_exponent():
     cfg = StudyConfig(p=1.3, delta=0.5, levels=(2, 4, 8), t_end=0.5, sigma=0.5)
     with pytest.raises(ValueError, match="coupling incompatible"):
         convergence_study(cfg)
+
+
+def test_coupled_study_refuses_growing_monitor_before_running(monkeypatch):
+    """The coupling monitor depends on h and kappa alone, so a growing one
+    is refused before the first level runs."""
+    calls = []
+    monkeypatch.setattr(verification, "run_simulation",
+                        lambda *args, **kwargs: calls.append(args))
+    cfg = StudyConfig(p=1.3, delta=0.1, levels=(4, 8, 16))
+    with pytest.raises(ValueError, match="coupling incompatible"):
+        convergence_study(cfg)
+    assert calls == []
 
 
 def test_summary_flags_experimental_range():
