@@ -8,13 +8,12 @@ time stepping (stepper), error studies and inequality checks
 (cli).
 """
 
-from .pstructure import StressModel, sym_part
+from .pstructure import StressModel
 from .mesh import Mesh, unit_square_mesh
 from .fespace import FESpace, quadrature_for
 
 __all__ = [
     "StressModel",
-    "sym_part",
     "Mesh",
     "unit_square_mesh",
     "FESpace",

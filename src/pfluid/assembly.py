@@ -22,8 +22,9 @@ gradient rows (``FESpace.sym_grad_at_qp``; ``FESpace.grad_rows`` is
 t = |sym Du| = sqrt(a^2 + b^2 + 2 c^2) and g = (delta + t)^(p-2).  The
 residual call returns the state it built, and a linearization at the
 same iterate takes it instead of recomputing the gradient.  The residual
-(S(Du), Dv) is one matmul of the weighted components g (a, c; c, b)
-with the gradient rows.
+(S(Du), Dv) is ``sym_load_vector`` of the weighted components
+g (a, c; c, b): one matmul with the gradient rows, the kernel that loads
+(T, Dv) for any symmetric T.
 
 The stress linearization uses the closed form of the derivative of
 S(P) = (delta + |sym P|)^(p-2) sym P,
@@ -269,6 +270,21 @@ def _stress_state(v_space, coeffs, model, degree):
     return StressState(a, b, c, t, model.weight(t))
 
 
+def sym_load_vector(v_space, wa, wb, wc, degree):
+    """Load vector of (T, Dv) for a symmetric tensor field
+    T = [[a, c], [c, b]] from wa, wb, wc, its components at the degree
+    rule's points times ``cell_weights(degree)``, each (n_cells, nq).
+    As (T, Dv) = (T, grad v), it is one matmul with the gradient rows."""
+    G = v_space.grad_rows(degree)
+    nc = len(G)
+    WS = np.empty((nc, 2, 2, wa.shape[1]))
+    WS[:, 0, 0] = wa
+    WS[:, 1, 1] = wb
+    WS[:, 0, 1] = WS[:, 1, 0] = wc
+    res_cell = np.matmul(WS.reshape(nc, 2, -1), np.swapaxes(G, 1, 2))
+    return _scatter_vector(v_space.local_vector_dofs(), res_cell, v_space.n_dofs)
+
+
 def _sym_gradient_local(wg, G):
     """Element matrices of (wg Dv, Dw), shape (nc, 2 n_local, 2 n_local),
     for the gradient rows G (nc, n_local, 2 nq) of ``FESpace.grad_rows``.
@@ -322,23 +338,14 @@ def assemble_stress(v_space, coeffs, model: StressModel, degree=5, jacobian="new
     """
     if state is None:
         state = _stress_state(v_space, coeffs, model, degree)
-    G = v_space.grad_rows(degree)
     wd = v_space.cell_weights(degree)
-    nc, nloc, _ = G.shape
     a, b, c, t = state.a, state.b, state.c, state.t
     if jacobian is None:
-        # res[k, i, j] = sum_(l,q) wd S[k, i, l, q] d_l phi_j(q), one
-        # matmul with the gradient rows
         wg = wd * state.g
-        WS = np.empty((nc, 2, 2, t.shape[1]))
-        WS[:, 0, 0] = wg * a
-        WS[:, 1, 1] = wg * b
-        WS[:, 0, 1] = WS[:, 1, 0] = wg * c
-        res_cell = np.matmul(WS.reshape(nc, 2, -1), np.swapaxes(G, 1, 2))
-        residual = _scatter_vector(v_space.local_vector_dofs(), res_cell,
-                                   v_space.n_dofs)
-        return residual, state
+        return sym_load_vector(v_space, wg * a, wg * b, wg * c, degree), state
 
+    G = v_space.grad_rows(degree)
+    nc, nloc, _ = G.shape
     if jacobian == "newton":
         # DS = g Sym + radial A (x) A: the g part is the weighted
         # symmetric-gradient form, the radial part the rank-one term

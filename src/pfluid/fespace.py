@@ -272,11 +272,12 @@ class FESpace:
 
     def grad_rows(self, degree):
         """Physical gradients as (nc, n_local, d*nq), entry [c, b, l*nq + q]
-        the derivative d_l of basis function b at point q; no copy is
+        the derivative d_l of basis function b at point q; a view of the
+        tabulated array, whose memory has this layout, so no copy is
         made."""
         gphys = self.tabulation(degree)[2]
         nc, nq, nloc, d = gphys.shape
-        return gphys.transpose(0, 2, 3, 1).reshape(nc, nloc, d * nq, copy=False)
+        return gphys.transpose(0, 2, 3, 1).reshape(nc, nloc, d * nq)
 
     def cell_weights(self, degree):
         """Cached (nc, nq) quadrature weights |det J| w_q of each cell."""
@@ -330,33 +331,21 @@ class FESpace:
         U = self.coeffs_by_component(coeffs)
         return np.matmul(phi, U.T[self.cell_dofs])
 
-    def _grad_planes(self, coeffs, degree):
-        """Gradients at the quadrature points as (nc, ncomp, d, nq): one
-        batched matmul of the local coefficients (nc, ncomp, n_local) with
-        the gradient rows (nc, n_local, d*nq)."""
-        G = self.grad_rows(degree)
-        U = self.coeffs_by_component(coeffs)
-        Uloc = np.swapaxes(U[:, self.cell_dofs], 0, 1)  # (nc, ncomp, nloc)
-        return np.matmul(Uloc, G).reshape(len(G), self.n_components, self.mesh.dim, -1)
-
-    def grad_at_qp(self, coeffs, degree):
-        """Gradients at the quadrature points, C-contiguous (nc, nq, ncomp, d).
-
-        The batched matmul of ``_grad_planes``, then one transposing copy.
-        """
-        return np.ascontiguousarray(self._grad_planes(coeffs, degree).transpose(0, 3, 1, 2))
-
     def sym_grad_at_qp(self, coeffs, degree):
         """Symmetric gradient of a two-component field at the quadrature
         points as its three components (a, b, c), sym Du = [[a, c], [c, b]],
         each of shape (nc, nq).
 
-        a and b are views of the batched matmul of ``_grad_planes``; no
-        2 x 2 tensor is formed.
+        One batched matmul of the local coefficients (nc, 2, n_local)
+        with the gradient rows (nc, n_local, 2*nq); a and b are views of
+        its result, and no 2 x 2 tensor is formed.
         """
         if self.n_components != 2:
             raise ValueError("symmetric gradients need a two-component field")
-        g = self._grad_planes(coeffs, degree)
+        G = self.grad_rows(degree)
+        U = self.coeffs_by_component(coeffs)
+        Uloc = np.swapaxes(U[:, self.cell_dofs], 0, 1)  # (nc, 2, nloc)
+        g = np.matmul(Uloc, G).reshape(len(G), 2, 2, -1)
         return g[:, 0, 0], g[:, 1, 1], 0.5 * (g[:, 0, 1] + g[:, 1, 0])
 
     def integrate(self, values, degree):

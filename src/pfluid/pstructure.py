@@ -7,8 +7,10 @@ variants, conjugates) lives here too, together with the nonlinear
 quantity F(P) = (delta + |sym P|)^((p-2)/2) sym P whose increments
 control the natural error distance of the discretization.
 
-All tensor routines broadcast over leading axes; a tensor argument has
-shape (..., d, d) and scalar arguments shape (...).
+A symmetric tensor [[a, c], [c, b]] is held as its components (a, b, c)
+of shape (...), passed separately or as one triple such as a (3, ...)
+array; scalar arguments have shape (...).  ``sym_components`` reduces a
+full 2 x 2 tensor.
 """
 
 from __future__ import annotations
@@ -29,18 +31,6 @@ class ConjugateSolveError(RuntimeError):
     """Root bracketing for the conjugate N-function failed."""
 
 
-def sym_part(P):
-    """Symmetric part of P, broadcasting over leading axes."""
-    P = np.asarray(P, dtype=float)
-    return 0.5 * (P + np.swapaxes(P, -1, -2))
-
-
-def tensor_norm(P):
-    """Frobenius norm over the trailing two axes."""
-    P = np.asarray(P, dtype=float)
-    return np.sqrt(np.einsum("...ij,...ij->...", P, P))
-
-
 def sym_components(P):
     """Components (a, b, c) of sym P = [[a, c], [c, b]] for 2 x 2
     tensors P of shape (..., 2, 2)."""
@@ -53,9 +43,10 @@ def sym_norm(a, b, c):
     return np.sqrt(a * a + b * b + 2.0 * c * c)
 
 
-def tensor_dot(P, Q):
-    """Frobenius inner product over the trailing two axes."""
-    return np.sum(np.asarray(P) * np.asarray(Q), axis=(-1, -2))
+def sym_dot(A, B):
+    """Frobenius inner product of the symmetric tensors with components
+    A = (a1, b1, c1) and B = (a2, b2, c2): a1 a2 + b1 b2 + 2 c1 c2."""
+    return A[0] * B[0] + A[1] * B[1] + 2.0 * A[2] * B[2]
 
 
 def _safe_pow(base, expo):
@@ -99,19 +90,7 @@ class StressModel:
         self.p = p
         self.delta = float(self.delta)
 
-    # -- tensor maps ---------------------------------------------------
-
-    def stress(self, P):
-        """Evaluate S(P) = (delta + |sym P|)^(p-2) sym P."""
-        A = sym_part(P)
-        g = self.weight(tensor_norm(A))
-        return g[..., None, None] * A
-
-    def f_map(self, P):
-        """Evaluate F(P) = (delta + |sym P|)^((p-2)/2) sym P."""
-        A = sym_part(P)
-        g = self.f_weight(tensor_norm(A))
-        return g[..., None, None] * A
+    # -- stress weights ------------------------------------------------
 
     def weight(self, t):
         """(delta + t)^(p-2), so that S(P) = weight(|sym P|) sym P."""
@@ -257,25 +236,29 @@ def equivalence_ratios(model: StressModel, P, Q):
     derivative surrogate; additionally S(Q) : Q / phi(|sym Q|) and the
     stress-increment ratio |S(P)-S(Q)| / phi'_{|sym P|}(|sym P - sym Q|).
 
+    P and Q have shape (..., 2, 2); S, F and every difference are formed
+    on the components of sym P and sym Q.
+
     Returns (ratios, degenerate) where ratios maps the names in
     RATIO_NAMES to arrays and degenerate flags pairs with sym P = sym Q
-    (all five quantities vanish there; the ratios are NaN).
+    (the four increment quantities vanish there; their ratios are NaN).
+    At sym Q = 0, S(Q) : Q and phi(|sym Q|) both vanish and
+    dissipation_vs_phi is NaN.
     """
-    A = sym_part(P)
-    B = sym_part(Q)
-    ta = tensor_norm(A)
-    tb = tensor_norm(B)
+    A = np.stack(sym_components(P))
+    B = np.stack(sym_components(Q))
+    ta = sym_norm(*A)
+    tb = sym_norm(*B)
     diff = A - B
-    tdiff = tensor_norm(diff)
+    tdiff = sym_norm(*diff)
     degenerate = tdiff == 0.0
 
-    SP = model.stress(A)
-    SQ = model.stress(B)
-    increment = tensor_dot(SP - SQ, diff)
-
-    FP = model.f_map(A)
-    FQ = model.f_map(B)
-    f_sq = tensor_norm(FP - FQ) ** 2
+    gb = model.weight(tb)
+    SP = model.weight(ta) * A
+    SQ = gb * B
+    dS = SP - SQ
+    increment = sym_dot(dS, diff)
+    f_sq = sym_norm(*(model.f_weight(ta) * A - model.f_weight(tb) * B)) ** 2
 
     shifted = model.shifted(ta)
     shifted_val = shifted.value(tdiff)
@@ -286,9 +269,9 @@ def equivalence_ratios(model: StressModel, P, Q):
         model.delta + (p - 1.0) * ssum
     )
 
-    dissipation = tensor_dot(SQ, B)
+    dissipation = gb * tb**2
     phi_b = model.phi(tb)
-    stress_diff = tensor_norm(SP - SQ)
+    stress_diff = sym_norm(*dS)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = {
@@ -304,9 +287,10 @@ def equivalence_ratios(model: StressModel, P, Q):
 def equivalence_envelope(model: StressModel, n_samples, seed, scale=2.0):
     """Sampled min/max of each equivalence ratio over random pairs.
 
-    The pairs are 2x2 tensors.  Pairs with sym P = sym Q or sym Q = 0
-    never occur almost surely under the uniform draw; any that do occur
-    are excluded.  Returns a dict name -> (min, max).
+    The pairs are 2x2 tensors drawn uniformly from [-scale, scale].  A
+    ratio is left out where the pair is degenerate (sym P = sym Q) or the
+    ratio is not finite, as dissipation_vs_phi is at sym Q = 0; neither
+    occurs almost surely under the draw.  Returns a dict name -> (min, max).
     """
     rng = np.random.default_rng(seed)
     P = rng.uniform(-scale, scale, size=(n_samples, 2, 2))

@@ -1,13 +1,68 @@
-"""Reference operators the tests compare against (the factors of the
-stress derivative, the 4-index stress Jacobian and the sparse matrix of
-vector element matrices) and closed-form flows that the default
-manufactured family does not cover."""
+"""Reference operators the tests compare against (the stress law on
+full 2 x 2 tensors, field gradients, the equivalence ratios, the factors
+of the stress derivative, the 4-index stress Jacobian and the sparse
+matrix of vector element matrices) and closed-form flows that the
+default manufactured family does not cover.
+
+The package holds a symmetric tensor as its three components; the
+references here work on full 2 x 2 tensors, so that the two forms are
+compared against each other."""
 
 import numpy as np
 from scipy import sparse
 
-from pfluid.pstructure import _require_regular, _safe_pow, sym_part, tensor_norm
+from pfluid.pstructure import _require_regular, _safe_pow
 from pfluid.verification import ManufacturedSolution
+
+
+def sym_part(P):
+    """Symmetric part of P, broadcasting over leading axes."""
+    P = np.asarray(P, dtype=float)
+    return 0.5 * (P + np.swapaxes(P, -1, -2))
+
+
+def tensor_norm(P):
+    """Frobenius norm over the trailing two axes."""
+    P = np.asarray(P, dtype=float)
+    return np.sqrt(np.einsum("...ij,...ij->...", P, P))
+
+
+def stress(model, P):
+    """S(P) = (delta + |sym P|)^(p-2) sym P."""
+    A = sym_part(P)
+    return model.weight(tensor_norm(A))[..., None, None] * A
+
+
+def f_map(model, P):
+    """F(P) = (delta + |sym P|)^((p-2)/2) sym P."""
+    A = sym_part(P)
+    return model.f_weight(tensor_norm(A))[..., None, None] * A
+
+
+def ref_grad(vs, c, degree):
+    """Field gradients (nc, nq, ncomp, d) from the tabulated gradients."""
+    _, _, gphys, _ = vs.tabulation(degree)
+    return np.einsum("cqbl,icb->cqil", gphys,
+                     vs.coeffs_by_component(c)[:, vs.cell_dofs])
+
+
+def equivalence_ratios(model, P, Q):
+    """The ratios of ``pstructure.equivalence_ratios`` formed on 2 x 2
+    tensors, as a dict over ``RATIO_NAMES``."""
+    A, B = sym_part(P), sym_part(Q)
+    ta, tb, tdiff = tensor_norm(A), tensor_norm(B), tensor_norm(A - B)
+    SP, SQ = stress(model, A), stress(model, B)
+    increment = np.sum((SP - SQ) * (A - B), axis=(-1, -2))
+    shifted = model.shifted(ta)
+    p, ssum = model.p, ta + tb
+    second = (model.delta + ssum) ** (p - 3.0) * (model.delta + (p - 1.0) * ssum)
+    return {
+        "increment_vs_f_sq": increment / tensor_norm(f_map(model, A) - f_map(model, B)) ** 2,
+        "increment_vs_shifted": increment / shifted.value(tdiff),
+        "increment_vs_second": increment / (second * tdiff**2),
+        "dissipation_vs_phi": np.sum(SQ * B, axis=(-1, -2)) / model.phi(tb),
+        "stress_diff_vs_shifted_prime": tensor_norm(SP - SQ) / shifted.derivative(tdiff),
+    }
 
 
 def jacobian_factors(model, P):
@@ -37,7 +92,7 @@ def jacobian_factors(model, P):
 
 
 def stress_jacobian(model, P):
-    """Derivative of model.stress in P, shape (..., d, d, d, d).
+    """Derivative of ``stress`` in P, shape (..., d, d, d, d).
 
     Index convention: J[..., i, j, k, l] = d S_ij / d P_kl.  The result
     is symmetric under (i,j,k,l) -> (k,l,i,j).  Built from

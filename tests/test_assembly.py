@@ -27,7 +27,7 @@ from pfluid.mesh import unit_square_mesh
 from pfluid.pstructure import StressModel
 from pfluid.stepper import StepperContext
 
-from fem_reference import global_matrix, stress_jacobian
+from fem_reference import global_matrix, ref_grad, stress, stress_jacobian
 
 
 def spaces(pair, n):
@@ -288,7 +288,7 @@ def test_convection_solenoidal_oracle():
         cv[bdofs] = 0.0
         cw[bdofs] = 0.0
         direct = np.einsum("cq,cqij,cqj,cqi->", wd,
-                           vs.grad_at_qp(cv, deg), uq, vs.eval_at_qp(cw, deg))
+                           ref_grad(vs, cv, deg), uq, vs.eval_at_qp(cw, deg))
         assert cw @ (N @ cv) == pytest.approx(direct, abs=1e-12)
 
 
@@ -436,17 +436,10 @@ def ref_values(vs, c, degree):
     return np.einsum("qb,icb->cqi", phi, vs.coeffs_by_component(c)[:, vs.cell_dofs])
 
 
-def ref_grad(vs, c, degree):
-    """Field gradients (nc, nq, ncomp, d) from the tabulated gradients."""
-    _, _, gphys, _ = vs.tabulation(degree)
-    return np.einsum("cqbl,icb->cqil", gphys,
-                     vs.coeffs_by_component(c)[:, vs.cell_dofs])
-
-
 def ref_residual(vs, c, model, degree=5):
     """(S(Du), Dv) contracted in one einsum and summed with np.add.at."""
     _, _, gphys, _ = vs.tabulation(degree)
-    S = model.stress(ref_grad(vs, c, degree))
+    S = stress(model, ref_grad(vs, c, degree))
     cell = np.einsum("cq,cqil,cqal->cia", ref_weights(vs, degree), S, gphys)
     out = np.zeros(vs.n_dofs)
     np.add.at(out, vs.local_vector_dofs(), cell.reshape(len(cell), -1))
@@ -532,13 +525,17 @@ def test_field_evaluation_matches_reference(element, ncomp, degree):
         gphys, np.einsum("qbk,ckl->cqbl", dlam, vs.grad_lambda), rtol=0, atol=1e-13)
     c = np.random.default_rng(11).standard_normal(vs.n_dofs)
     vals = vs.eval_at_qp(c, degree)
-    grad = vs.grad_at_qp(c, degree)
     nc, nq = vs.mesh.n_cells, len(rule.weights)
     assert vals.shape == (nc, nq, ncomp) and vals.flags.c_contiguous
-    assert grad.shape == (nc, nq, ncomp, 2) and grad.flags.c_contiguous
-    ref_v, ref_g = ref_values(vs, c, degree), ref_grad(vs, c, degree)
+    ref_v = ref_values(vs, c, degree)
     assert np.abs(vals - ref_v).max() <= 1e-13 * np.abs(ref_v).max()
-    assert np.abs(grad - ref_g).max() <= 1e-13 * max(np.abs(ref_g).max(), 1.0)
+    if ncomp == 2:
+        ref_g = ref_grad(vs, c, degree)
+        sym = np.stack(vs.sym_grad_at_qp(c, degree))
+        assert sym.shape == (3, nc, nq)
+        ref_sym = np.stack([ref_g[..., 0, 0], ref_g[..., 1, 1],
+                            0.5 * (ref_g[..., 0, 1] + ref_g[..., 1, 0])])
+        assert np.abs(sym - ref_sym).max() <= 1e-13 * max(np.abs(ref_g).max(), 1.0)
 
 
 @pytest.mark.parametrize("pair", ["MINI", "TH"])

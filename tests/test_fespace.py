@@ -125,13 +125,27 @@ def test_interpolation_vector_components():
 
 
 def test_p2_gradient_evaluation():
+    # u = (x^2 + y, x y): sym Du = [[2x, (1 + y)/2], [(1 + y)/2, x]]
     mesh = unit_square_mesh(2)
-    space = FESpace(mesh, "P2")
-    c = interpolate(space, lambda X: X[..., 0] ** 2 + X[..., 1])
-    xq = space.tabulation(3)[3]
-    g = space.grad_at_qp(c, 3)[:, :, 0, :]
-    exact = np.stack([2.0 * xq[..., 0], np.ones_like(xq[..., 1])], axis=-1)
-    assert np.allclose(g, exact, atol=1e-12)
+    space = FESpace(mesh, "P2", n_components=2)
+    c = interpolate(space, lambda X: np.stack(
+        [X[..., 0] ** 2 + X[..., 1], X[..., 0] * X[..., 1]], axis=-1))
+    x, y = np.moveaxis(space.tabulation(3)[3], -1, 0)
+    a, b, cc = space.sym_grad_at_qp(c, 3)
+    assert np.allclose(a, 2.0 * x, atol=1e-12)
+    assert np.allclose(b, x, atol=1e-12)
+    assert np.allclose(cc, 0.5 * (1.0 + y), atol=1e-12)
+
+
+@pytest.mark.parametrize("pair", ["MINI", "TH"])
+def test_grad_rows_is_a_view(pair):
+    """The gradient rows share the tabulated gradients' memory, on any
+    numpy: the reshape of the transposed view needs no copy."""
+    space = FESpace(unit_square_mesh(3), element_pair(pair)[0], n_components=2)
+    for degree in (1, 5, 7):
+        rows = space.grad_rows(degree)
+        assert np.shares_memory(rows, space.tabulation(degree)[2])
+        assert rows.flags.c_contiguous
 
 
 def test_integrate_and_l2_norm():

@@ -3,13 +3,16 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
+from pfluid import pstructure
+from pfluid.cli import DEFAULT_PROPERTY_GRID
 from pfluid.pstructure import (
     ConjugateSolveError, DegenerateGradientError, RATIO_NAMES, StressModel,
     equivalence_envelope, equivalence_ratios, quasi_norm_lower_bound_ratio,
-    sym_part, tensor_norm,
+    sym_components, sym_dot, sym_norm,
 )
 
-from fem_reference import stress_jacobian
+import fem_reference
+from fem_reference import stress, stress_jacobian, sym_part, tensor_norm
 
 
 def rand_tensors(n, seed, scale=2.0, dim=2):
@@ -31,24 +34,38 @@ def test_model_validation():
 def test_stress_hand_value():
     # diag(2,0) is symmetric with |A| = 2, so S = (0+2)^(p-2) A
     model = StressModel(1.5, 0.0)
-    P = np.diag([2.0, 0.0])
-    S = model.stress(P)
-    assert np.allclose(S, np.diag([np.sqrt(2.0), 0.0]), atol=1e-14)
-    F = model.f_map(P)
-    assert np.allclose(F, np.diag([2.0 ** 0.75, 0.0]), atol=1e-14)
+    A = np.array(sym_components(np.diag([2.0, 0.0])))
+    t = sym_norm(*A)
+    assert t == 2.0
+    assert np.allclose(model.weight(t) * A, [np.sqrt(2.0), 0.0, 0.0], atol=1e-14)
+    assert np.allclose(model.f_weight(t) * A, [2.0 ** 0.75, 0.0, 0.0], atol=1e-14)
 
 
 def test_stress_p2_identity():
     model = StressModel(2.0, 0.7)
-    P = rand_tensors(5, 0)
-    assert np.allclose(model.stress(P), sym_part(P), atol=1e-14)
-    assert np.allclose(model.f_map(P), sym_part(P), atol=1e-14)
+    t = sym_norm(*sym_components(rand_tensors(5, 0)))
+    assert np.all(model.weight(t) == 1.0) and np.all(model.f_weight(t) == 1.0)
 
 
 def test_stress_only_sees_symmetric_part():
+    """The components, their norm and inner product reproduce the 2 x 2
+    forms of sym P, and the component stress agrees with the tensor
+    reference."""
     model = StressModel(1.6, 0.2)
-    P = rand_tensors(7, 1)
-    assert np.allclose(model.stress(P), model.stress(sym_part(P)), atol=1e-14)
+    P, Q = rand_tensors(7, 1), rand_tensors(7, 2)
+    A, B = sym_part(P), sym_part(Q)
+    a, b, c = sym_components(P)
+    assert np.array_equal(np.stack([a, b, c]), np.stack(sym_components(A)))
+    assert np.array_equal(a, A[:, 0, 0]) and np.array_equal(b, A[:, 1, 1])
+    assert np.array_equal(c, A[:, 0, 1]) and np.array_equal(c, A[:, 1, 0])
+    np.testing.assert_allclose(sym_norm(a, b, c), tensor_norm(A), rtol=1e-15)
+    dot = np.sum(A * B, axis=(-1, -2))
+    np.testing.assert_allclose(sym_dot(sym_components(P), sym_components(Q)), dot,
+                               rtol=0, atol=1e-14 * np.abs(dot).max())
+    S = stress(model, P)
+    np.testing.assert_allclose(model.weight(sym_norm(a, b, c)) * np.stack([a, b, c]),
+                               np.stack([S[:, 0, 0], S[:, 1, 1], S[:, 0, 1]]),
+                               rtol=1e-14)
 
 
 def test_phi_hand_values():
@@ -146,7 +163,7 @@ def test_jacobian_matches_finite_differences():
         for l in range(2):
             dP = np.zeros((2, 2))
             dP[k, l] = eps
-            fd = (model.stress(P + dP) - model.stress(P - dP)) / (2 * eps)
+            fd = (stress(model, P + dP) - stress(model, P - dP)) / (2 * eps)
             assert np.allclose(J[..., :, :, k, l], fd, atol=5e-7)
 
 
@@ -216,6 +233,86 @@ def test_equivalence_ratios_near_coincident_pairs(p, delta, entries, log_eps):
     assert not degenerate[0]
     for name in RATIO_NAMES:
         assert np.isfinite(ratios[name][0]) and ratios[name][0] > 0.0, name
+
+
+def test_equivalence_ratios_match_tensor_reference():
+    """On the CLI's default property grid and draws (seed 42, 10^4 pairs
+    from [-2, 2]) the component ratios equal the 2 x 2 reference."""
+    for p in DEFAULT_PROPERTY_GRID[0]:
+        for delta in DEFAULT_PROPERTY_GRID[1]:
+            model = StressModel(p, delta)
+            rng = np.random.default_rng(42)
+            P = rng.uniform(-2.0, 2.0, size=(10**4, 2, 2))
+            Q = rng.uniform(-2.0, 2.0, size=(10**4, 2, 2))
+            ratios, degenerate = equivalence_ratios(model, P, Q)
+            ref = fem_reference.equivalence_ratios(model, P, Q)
+            assert not np.any(degenerate)
+            for name in RATIO_NAMES:
+                np.testing.assert_allclose(ratios[name], ref[name], rtol=1e-12,
+                                           atol=0, err_msg=f"{name} p={p} delta={delta}")
+
+
+def degenerate_pairs(n, seed):
+    """{case: (P, Q)} at the degenerate limits: sym Q = 0 (Q skew),
+    Q = -P, and |sym Q| = 1e-8 |sym P|."""
+    P, E = rand_tensors(n, seed), rand_tensors(n, seed + 1)
+    tp, te = tensor_norm(sym_part(P)), tensor_norm(sym_part(E))
+    skew = np.zeros_like(E)
+    skew[:, 0, 1] = E[:, 0, 1]
+    skew[:, 1, 0] = -E[:, 0, 1]
+    return {
+        "sym Q = 0": (P, skew),
+        "Q = -P": (P, -P),
+        "tiny sym Q": (P, 1e-8 * (tp / te)[:, None, None] * sym_part(E)),
+    }
+
+
+@pytest.mark.parametrize("p", [1.3, 1.8, 2.0])
+@pytest.mark.parametrize("delta", [0.0, 0.01])
+def test_equivalence_ratios_degenerate_limits(p, delta):
+    """At sym Q = 0 the dissipation ratio is 0/0 and NaN (the envelope
+    drops it); every other ratio of every limit is finite, positive and
+    equal to the 2 x 2 reference, with the closed-form values
+    increment_vs_f_sq = 1 at Q = -P and dissipation_vs_phi -> p
+    (delta = 0) or 2 (delta > 0) as sym Q -> 0."""
+    model = StressModel(p, delta)
+    for case, (P, Q) in degenerate_pairs(20, 9).items():
+        ratios, degenerate = equivalence_ratios(model, P, Q)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ref = fem_reference.equivalence_ratios(model, P, Q)
+        assert not np.any(degenerate), case
+        for name in RATIO_NAMES:
+            vals = ratios[name]
+            if case == "sym Q = 0" and name == "dissipation_vs_phi":
+                assert np.all(np.isnan(vals))
+                continue
+            assert np.all(np.isfinite(vals) & (vals > 0.0)), (case, name)
+            np.testing.assert_allclose(vals, ref[name], rtol=1e-12, atol=0,
+                                       err_msg=f"{case} {name}")
+        if case == "Q = -P":
+            np.testing.assert_allclose(ratios["increment_vs_f_sq"], 1.0, rtol=1e-13)
+        if case == "tiny sym Q":
+            limit = p if delta == 0.0 else 2.0
+            np.testing.assert_allclose(ratios["dissipation_vs_phi"], limit, rtol=1e-5)
+
+
+def test_equivalence_envelope_excludes_degenerate_pairs(monkeypatch):
+    """Pairs with sym P = sym Q and the NaN ratio of sym Q = 0 leave the
+    envelope finite, and its dissipation bounds as without them."""
+    model = StressModel(1.5, 0.0)
+    clean = equivalence_envelope(model, n_samples=500, seed=0)
+    P, skew = degenerate_pairs(5, 11)["sym Q = 0"]
+    real = pstructure.equivalence_ratios
+
+    def with_degenerate(model, P_draw, Q_draw):
+        return real(model, np.concatenate([P_draw, P, P]),
+                    np.concatenate([Q_draw, P, skew]))
+
+    monkeypatch.setattr(pstructure, "equivalence_ratios", with_degenerate)
+    env = equivalence_envelope(model, n_samples=500, seed=0)
+    assert env["dissipation_vs_phi"] == clean["dissipation_vs_phi"]
+    for lo, hi in env.values():
+        assert 0.0 < lo <= hi < np.inf
 
 
 def test_equivalence_envelope_shape():

@@ -13,10 +13,10 @@ import pytest
 
 import pfluid
 from pfluid import verification
-from pfluid.assembly import assemble_rhs
+from pfluid.assembly import assemble_mass, assemble_rhs, assemble_stiffness
 from pfluid.fespace import FESpace, element_pair, interpolate, quadrature_for
 from pfluid.mesh import unit_square_mesh
-from pfluid.pstructure import DegenerateGradientError, StressModel, sym_part, tensor_norm
+from pfluid.pstructure import DegenerateGradientError, StressModel
 from pfluid.stepper import TimeGrid, Trajectory, run_simulation
 from pfluid.verification import (
     CSV_HEADER,
@@ -41,7 +41,8 @@ from pfluid.verification import (
     weak_residual_check,
 )
 
-from fem_reference import pure_strain, solution_from, stress_jacobian
+from fem_reference import (f_map, pure_strain, ref_grad, solution_from, stress,
+                           stress_jacobian, sym_part, tensor_norm)
 
 
 KINDS = ("smooth-periodic", "time-dominant")
@@ -234,7 +235,7 @@ def test_forcing_fd_cross_check(ms):
             dx = np.zeros(2)
             dx[j] = e
             shifts = np.array([x + 2 * dx, x + dx, x - dx, x - 2 * dx])
-            S = model.stress(ms.grad_u(t, shifts))
+            S = stress(model, ms.grad_u(t, shifts))
             col = (-S[0] + 8 * S[1] - 8 * S[2] + S[3]) / (12 * e)
             divS += col[:, j]
         G = ms.grad_u(t, x[None])[0]
@@ -432,7 +433,8 @@ def test_error_record_interpolant_beats_rest(ms):
 def test_error_norms_match_tensor_reference(ms, delta):
     """The error record and ||F(Du_h)||^2, formed from three symmetric
     components, agree with the same norms formed from full 2 x 2
-    gradients through sym_part, tensor_norm and f_map."""
+    gradients through the 2 x 2 references sym_part, tensor_norm and
+    f_map."""
     model = StressModel(1.6, delta)
     grid = TimeGrid(0.1, 2)
     traj = make_trajectory(ms, model, 4, grid, True)
@@ -442,9 +444,9 @@ def test_error_norms_match_tensor_reference(ms, delta):
     vs, p = traj.v_space, model.p
     X = vs.tabulation(7)[3].reshape(-1, 2)
     for m, tm in enumerate(grid.times()):
-        gh = vs.grad_at_qp(traj.velocities[m], 7)
+        gh = ref_grad(vs, traj.velocities[m], 7)
         ge = ms.grad_u(tm, X).reshape(gh.shape)
-        dF = model.f_map(gh) - model.f_map(ge)
+        dF = f_map(model, gh) - f_map(model, ge)
         f_dist = np.sqrt(vs.integrate(np.sum(dF * dF, (-2, -1)), 7))
         dsym = tensor_norm(sym_part(gh) - sym_part(ge))
         gperr = vs.integrate(dsym**p, 7) ** (1.0 / p)
@@ -454,7 +456,7 @@ def test_error_norms_match_tensor_reference(ms, delta):
         assert rec.grad_p_exact[m] == pytest.approx(gpex, rel=1e-12)
     fsq = []
     for U in traj.velocities:
-        Fv = model.f_map(vs.grad_at_qp(U, 5))
+        Fv = f_map(model, ref_grad(vs, U, 5))
         fsq.append(vs.integrate(np.sum(Fv * Fv, (-2, -1)), 5))
     np.testing.assert_allclose(traj.f_norm_sq(), fsq, rtol=1e-12)
 
@@ -663,6 +665,25 @@ def test_quasi_norm_suite_smoke():
         quasi_norm_suite(unit_square_mesh(2), StressModel(1.7, 0.1), samples=10)
 
 
+def test_quasi_norm_suite_matches_tensor_reference():
+    """Every sampled constant equals the one formed from 2 x 2 P1
+    gradients through sym_part, tensor_norm and f_map."""
+    mesh, model = unit_square_mesh(3), StressModel(1.6, 0.05)
+    rep = quasi_norm_suite(mesh, model, samples=100, seed=4)
+    V = FESpace(mesh, "P1", n_components=2)
+    vols, p = 0.5 * V.detJ, model.p
+    rng = np.random.default_rng(4)
+    for ratio in rep.ratios:
+        U = rng.uniform(-1.0, 1.0, V.n_dofs)
+        W = rng.uniform(-1.0, 1.0, V.n_dofs)
+        gu, gw = ref_grad(V, U, 1)[:, 0], ref_grad(V, W, 1)[:, 0]
+        ndu = np.sum(vols * tensor_norm(sym_part(gu)) ** p) ** (1.0 / p)
+        ndiff = np.sum(vols * tensor_norm(sym_part(gu - gw)) ** p) ** (1.0 / p)
+        fsq = np.sum(vols * tensor_norm(f_map(model, gu) - f_map(model, gw)) ** 2)
+        bound = (model.delta + ndu + ndiff) ** (p - 2.0) * ndiff**2
+        assert ratio == pytest.approx(fsq / bound, rel=1e-12)
+
+
 def test_weak_residual_small_mesh(ms):
     vel, _ = element_pair("MINI")
     vs = FESpace(unit_square_mesh(8), vel, n_components=2)
@@ -670,6 +691,53 @@ def test_weak_residual_small_mesh(ms):
     assert rep.max_residual < 1e-7
     assert len(rep.residuals) == 10
     assert rep.degree == 7
+
+
+def ref_weak_residuals(ms, model, vs, t=0.3, n_fields=100, seed=0, degree=7):
+    """The weak residual of ``weak_residual_check`` field by field, on
+    2 x 2 gradients: (dt u + 1/2 [grad u] u - f, v) + (S(Du), grad v)
+    - 1/2 ([grad v] u, u) - (q, div v)."""
+    xq = vs.tabulation(degree)[3]
+    wd = vs.cell_weights(degree)
+    X = xq.reshape(-1, 2)
+    nc, nq = xq.shape[:2]
+    u = ms.u(t, X).reshape(nc, nq, 2)
+    G = ms.grad_u(t, X).reshape(nc, nq, 2, 2)
+    S = stress(model, G)
+    qv = ms.q(t, X).reshape(nc, nq)
+    fv = forcing_from(ms, model)(t, X).reshape(nc, nq, 2)
+    lin = ms.dt_u(t, X).reshape(nc, nq, 2) + 0.5 * np.einsum("cqil,cql->cqi", G, u) - fv
+    rng = np.random.default_rng(seed)
+    K = assemble_stiffness(vs)
+    Mv = assemble_mass(vs)
+    bdofs = vs.boundary_dofs()
+    res = np.zeros(n_fields)
+    for k in range(n_fields):
+        coeffs = rng.standard_normal(vs.n_dofs)
+        coeffs[bdofs] = 0.0
+        coeffs /= np.sqrt(coeffs @ (K @ coeffs) + coeffs @ (Mv @ coeffs))
+        vvals = vs.eval_at_qp(coeffs, degree)
+        gvals = ref_grad(vs, coeffs, degree)
+        integrand = (
+            np.einsum("cqil,cqil->cq", S, gvals)
+            + np.einsum("cqi,cqi->cq", lin, vvals)
+            - 0.5 * np.einsum("cqil,cql,cqi->cq", gvals, u, u)
+            - qv * np.einsum("cqii->cq", gvals)
+        )
+        res[k] = np.sum(wd * integrand)
+    return res
+
+
+@pytest.mark.parametrize("pair,n", [("MINI", 8), ("TH", 4)])
+def test_weak_residual_matches_field_loop(ms, pair, n):
+    """The one-vector residual tested against all fields at once equals
+    the per-field loop on 2 x 2 gradients, field for field."""
+    vs = FESpace(unit_square_mesh(n), element_pair(pair)[0], n_components=2)
+    model = StressModel(1.8, 0.1)
+    rep = weak_residual_check(ms, model, vs, n_fields=20, seed=3)
+    ref = ref_weak_residuals(ms, model, vs, n_fields=20, seed=3)
+    assert np.max(np.abs(rep.residuals - ref)) <= 1e-15
+    assert np.max(np.abs(ref)) > 1e-12  # the fields see a nonzero residual
 
 
 def test_fenchel_young_sampled():
