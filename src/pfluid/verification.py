@@ -506,7 +506,8 @@ def convergence_study(config: StudyConfig) -> StudyResult:
     M = round(T / (sigma h)) so kappa = T/M matches sigma*h up to
     rounding.  The monitor depends on h and kappa alone, so a coupling
     under which it grows is refused before the first level runs.  Every
-    delta >= 0 runs the default solver (Newton with the Picard fallback);
+    delta >= 0 runs the one solver (full-length Newton steps, a Picard
+    step in place of each rejected one);
     at delta = 0 the linearizations floor the degenerate weight relative
     to the iterate (``assembly.assemble_stress``).  Each level loads the
     forcing through ``load_from``.

@@ -1,8 +1,9 @@
 """Reference operators the tests compare against (the stress law on
 full 2 x 2 tensors, field gradients, the equivalence ratios, the factors
 of the stress derivative, the 4-index stress Jacobian and the sparse
-matrix of vector element matrices) and closed-form flows that the
-default manufactured family does not cover.
+matrix of vector element matrices), closed-form flows that the
+default manufactured family does not cover, and a stepper whose steps
+run on Picard steps alone.
 
 The package holds a symmetric tensor as its three components; the
 references here work on full 2 x 2 tensors, so that the two forms are
@@ -11,6 +12,7 @@ compared against each other."""
 import numpy as np
 from scipy import sparse
 
+from pfluid.assembly import LinearSolveError
 from pfluid.pstructure import _require_regular, _safe_pow
 from pfluid.verification import ManufacturedSolution
 
@@ -148,3 +150,17 @@ def pure_strain():
         fields=lambda X: [X * sign,
                           np.broadcast_to(np.diag(sign), X.shape[:-1] + (2, 2)),
                           np.zeros(X.shape[:-1] + (2, 2, 2))])
+
+
+def picard_only(ctx):
+    """ctx, with every Newton factorization raising LinearSolveError, so
+    that each iteration of its steps is a Picard step."""
+    factor = ctx._factor
+
+    def newton_fails(U, step_data, mode, state=None):
+        if mode == "newton":
+            raise LinearSolveError("Newton factorization disabled")
+        return factor(U, step_data, mode, state)
+
+    ctx._factor = newton_fails
+    return ctx

@@ -69,23 +69,38 @@ UNREFERENCED_OK = {
 
 
 def unreferenced_names(sources):
-    """Functions, classes and methods (dunders excluded) of the given
-    {file name: source} that no code names: no ``ast.Name`` or
-    ``ast.Attribute`` outside ``__init__.py``, whose re-exports do not
-    count, carries the name.  Comments and docstrings are not code;
-    f-strings, base classes and decorators are."""
+    """Functions, classes, methods (dunders excluded), module-level
+    UPPER_CASE constants and dataclass fields of the given {file name:
+    source} that no code names: no ``ast.Name`` that is read, and no
+    ``ast.Attribute`` or keyword argument, outside ``__init__.py``, whose
+    re-exports do not count, carries the name.  Comments and docstrings
+    are not code; f-strings, base classes and decorators are."""
     defs, used = set(), set()
     for fname, source in sources.items():
-        for node in ast.walk(ast.parse(source)):
+        tree = ast.parse(source)
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            defs.update(t.id for t in targets
+                        if isinstance(t, ast.Name) and t.id.isupper())
+        for node in ast.walk(tree):
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                     and not (node.name.startswith("__") and node.name.endswith("__"))):
                 defs.add(node.name)
-            elif fname == "__init__.py":
+                if isinstance(node, ast.ClassDef) and any(
+                        ast.unparse(d).startswith("dataclass")
+                        for d in node.decorator_list):
+                    defs.update(f.target.id for f in node.body
+                                if isinstance(f, ast.AnnAssign)
+                                and isinstance(f.target, ast.Name))
+            if fname == "__init__.py":
                 continue
-            elif isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
+            elif isinstance(node, ast.keyword):
+                used.add(node.arg)
     return sorted(defs - used)
 
 
@@ -98,9 +113,15 @@ def test_unreferenced_names_parser():
                 "    \"\"\"Uses prose_only, in prose only.\"\"\"\n\n"
                 "def prose_only():\n    pass  # prose_only()\n\n"
                 "def in_fstring():\n    pass\n\ny = f\"{in_fstring()} {Child}\"\n",
-        "__init__.py": "from .a import dead\nfrom .b import only_here\n",
+        "d.py": "from dataclasses import dataclass\n\nLIMIT = 3\nSTORED = 4\n"
+                "lower = 5\n\n@dataclass\nclass Rec:\n    n: int\n"
+                "    by_keyword: int = 0\n    unread: int = 0\n    KIND = 'x'\n\n"
+                "r = Rec(1, by_keyword=LIMIT)\nr.n += 1\n",
+        "__init__.py": "from .a import dead\nfrom .b import only_here\n"
+                       "from .d import STORED, unread\n",
     }
-    assert unreferenced_names(sources) == ["dead", "only_here", "prose_only"]
+    assert unreferenced_names(sources) == [
+        "STORED", "dead", "only_here", "prose_only", "unread"]
 
 
 def test_every_definition_is_referenced():

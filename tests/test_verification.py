@@ -3,6 +3,7 @@ forcing cross-checks by finite differences, error bookkeeping, and the
 inequality checkers on hand-built data."""
 
 from dataclasses import replace
+import math
 import os
 from pathlib import Path
 import subprocess
@@ -572,6 +573,23 @@ def test_gronwall_b_cap():
     rep = gronwall_check(data)
     assert not rep.conclusion_ok
     assert rep.b_max == 2.0
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-300])
+@pytest.mark.parametrize("p", [1.1, 1.3, 1.5, 1.8, 2.0])
+def test_gronwall_weight_near_vanishing_arguments(lam, p):
+    """(lam + b)^(p-2) b^2 against its value from logarithms: at lam = 0
+    that is b^p, to 1e-12 relative where it is a normal float and
+    exactly 0 where it underflows."""
+    b = np.array([0.0, 1e-300, 1e-200, 1e-150, 1e-8, 1.0])
+    weight = verification._gronwall_weight(lam, b, p)
+    for bi, wi in zip(b, weight):
+        exact = (math.exp((p - 2.0) * math.log(lam + bi) + 2.0 * math.log(bi))
+                 if bi > 0.0 else 0.0)
+        if exact >= np.finfo(float).tiny:
+            assert wi == pytest.approx(exact, rel=1e-12, abs=0.0)
+        else:
+            assert exact == 0.0 and wi == 0.0
 
 
 def test_gronwall_validation():
