@@ -16,15 +16,14 @@ without assembling, and the saddle system takes them as they are.
 
 The stress terms start from one ``StressState`` per velocity iterate:
 sym Du = [[a, c], [c, b]] in three components at the quadrature points,
-read from the batched matmul of the local coefficients with the
-gradient rows (``FESpace.sym_grad_at_qp``; ``FESpace.grad_rows`` is
-(n_cells, n_local, d*nq), derivative-major per basis function), with
+the sparse matvec D U with D = ``FESpace.sym_grad_operator``, with
 t = |sym Du| = sqrt(a^2 + b^2 + 2 c^2) and g = (delta + t)^(p-2).  The
 residual call returns the state it built, and a linearization at the
 same iterate takes it instead of recomputing the gradient.  The residual
-(S(Du), Dv) is ``sym_load_vector`` of the weighted components
-g (a, c; c, b): one matmul with the gradient rows, the kernel that loads
-(T, Dv) for any symmetric T.
+(S(Du), Dv) is ``sym_load_vector`` of the weighted components: the
+matvec D^T (wd g (a, b, 2c)), the kernel that loads (T, Dv) for any
+symmetric T.  The linearizations use the gradient rows
+(``FESpace.grad_rows``, (n_cells, n_local, d*nq), derivative-major).
 
 The stress linearization uses the closed form of the derivative of
 S(P) = (delta + |sym P|)^(p-2) sym P,
@@ -39,8 +38,9 @@ radial v (x) v with v = (a d_x phi + c d_y phi, c d_x phi + b d_y phi)
 formed elementwise; Picard is the symmetric-gradient form with the
 frozen weight max(delta+t, floor)^(p-2).  The floor scales with the
 iterate (see ``assemble_stress``).
-No 4-index tensor is formed.  The convection trilinear form is used in
-the skew-symmetrized version
+No 4-index tensor is formed.  The convection contracts one reference
+tensor with per-cell coefficients (``assemble_convection``), and its
+trilinear form is used in the skew-symmetrized version
 
     b(u, v, w) = 1/2 [ ([grad v] u, w) - ([grad w] u, v) ],
 
@@ -95,12 +95,14 @@ through the module attribute ``splu``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 import logging
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
+from .fespace import element_by_name, quadrature_for
 from .pstructure import StressModel, _require_regular, _safe_pow, sym_norm
 
 log = logging.getLogger(__name__)
@@ -251,38 +253,31 @@ def local_matvec(v_space, local, coeffs):
 class StressState:
     """Stress of one velocity at the quadrature points of one rule.
 
-    sym Du = [[a, c], [c, b]] is held in its three components, read from
-    the batched gradient matmul (``FESpace.sym_grad_at_qp``), with
+    ``sym`` is sym Du = [[a, c], [c, b]] in its three components, stacked
+    (3, n_cells, nq) as ``FESpace.sym_grad_operator`` gives them, with
     t = |sym Du| = sqrt(a^2 + b^2 + 2 c^2) and g = (delta + t)^(p-2), so
-    S(Du) = g sym Du.  Every field has shape (n_cells, nq).
+    S(Du) = g sym Du.  Never written to: later operators are built from it.
     """
 
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
+    sym: np.ndarray
     t: np.ndarray
     g: np.ndarray
+    a = property(lambda self: self.sym[0])
+    b = property(lambda self: self.sym[1])
+    c = property(lambda self: self.sym[2])
 
 
-def _stress_state(v_space, coeffs, model, degree):
-    a, b, c = v_space.sym_grad_at_qp(coeffs, degree)
-    t = sym_norm(a, b, c)
-    return StressState(a, b, c, t, model.weight(t))
+# (T, Dv) = a_T a_v + b_T b_v + 2 c_T c_v pointwise
+_PAIRING = np.array([1.0, 1.0, 2.0])[:, None, None]
 
 
-def sym_load_vector(v_space, wa, wb, wc, degree):
+def sym_load_vector(sym_op_t, wT):
     """Load vector of (T, Dv) for a symmetric tensor field
-    T = [[a, c], [c, b]] from wa, wb, wc, its components at the degree
-    rule's points times ``cell_weights(degree)``, each (n_cells, nq).
-    As (T, Dv) = (T, grad v), it is one matmul with the gradient rows."""
-    G = v_space.grad_rows(degree)
-    nc = len(G)
-    WS = np.empty((nc, 2, 2, wa.shape[1]))
-    WS[:, 0, 0] = wa
-    WS[:, 1, 1] = wb
-    WS[:, 0, 1] = WS[:, 1, 0] = wc
-    res_cell = np.matmul(WS.reshape(nc, 2, -1), np.swapaxes(G, 1, 2))
-    return _scatter_vector(v_space.local_vector_dofs(), res_cell, v_space.n_dofs)
+    T = [[a, c], [c, b]] from wT, its components (a, b, c) at the rule's
+    points times its ``cell_weights``, stacked (3, n_cells, nq): the
+    product sym_op_t @ (wa, wb, 2 wc) with sym_op_t = D.T, the transposed
+    view of the rule's ``FESpace.sym_grad_operator`` D."""
+    return sym_op_t @ (wT * _PAIRING).ravel()
 
 
 def _sym_gradient_local(wg, G):
@@ -314,7 +309,7 @@ def _shift_floor(t):
 
 
 def assemble_stress(v_space, coeffs, model: StressModel, degree=5, jacobian="newton",
-                    state=None):
+                    state=None, sym_ops=None):
     """Stress residual (S(Du), Dv) or a linearization of it.
 
     jacobian: None for the residual, "newton" for the exact derivative
@@ -329,20 +324,27 @@ def assemble_stress(v_space, coeffs, model: StressModel, degree=5, jacobian="new
 
     state: the ``StressState`` of coeffs under this model and degree,
     as an earlier residual call returned it; None computes it from
-    coeffs.
+    coeffs.  sym_ops: (D, D.T), the space's ``sym_grad_operator(degree)``
+    and its transposed view, as a caller that evaluates many residuals
+    holds them: D gives the state and D.T the residual.  None builds
+    them.
 
     Returns (residual, state) for jacobian=None: the residual vector and
     the ``StressState`` it was built from.  Otherwise returns None and
     the element matrices of the linearization, shape
     (n_cells, d*n_local, d*n_local) on ``v_space.local_vector_dofs()``.
     """
+    if sym_ops is None and (state is None or jacobian is None):
+        D = v_space.sym_grad_operator(degree)
+        sym_ops = (D, D.T)
     if state is None:
-        state = _stress_state(v_space, coeffs, model, degree)
+        sym = (sym_ops[0] @ coeffs).reshape(3, v_space.mesh.n_cells, -1)
+        t = sym_norm(*sym)
+        state = StressState(sym, t, model.weight(t))
     wd = v_space.cell_weights(degree)
-    a, b, c, t = state.a, state.b, state.c, state.t
+    t = state.t
     if jacobian is None:
-        wg = wd * state.g
-        return sym_load_vector(v_space, wg * a, wg * b, wg * c, degree), state
+        return sym_load_vector(sym_ops[1], state.sym * (wd * state.g)), state
 
     G = v_space.grad_rows(degree)
     nc, nloc, _ = G.shape
@@ -364,7 +366,7 @@ def assemble_stress(v_space, coeffs, model: StressModel, degree=5, jacobian="new
         local = _sym_gradient_local(wd * g, G)
         D = G.reshape(nc, nloc, 2, -1)
         Dx, Dy = D[:, :, 0], D[:, :, 1]
-        a, b, c = a[:, None], b[:, None], c[:, None]
+        a, b, c = state.a[:, None], state.b[:, None], state.c[:, None]
         V = np.empty((nc, 2, nloc, t.shape[1]))
         np.multiply(a, Dx, out=V[:, 0])
         V[:, 0] += c * Dy
@@ -380,25 +382,41 @@ def assemble_stress(v_space, coeffs, model: StressModel, degree=5, jacobian="new
     return None, local
 
 
+@functools.lru_cache(maxsize=None)
+def _convection_tensor(element_name, degree):
+    """Reference tensor T[k, l, b, a] = sum_q w_q phi_k d_l phi_b phi_a of
+    the element on the degree rule, d_l the derivative in barycentric
+    coordinate l, as an (n_local (d+1), n_local^2) matrix."""
+    rule = quadrature_for(degree)
+    element = element_by_name(element_name)
+    phi = element.eval(rule.points)
+    T = np.einsum("q,qk,qbl,qa->klba", rule.weights, phi,
+                  element.dlambda(rule.points), phi)
+    T = T.reshape(T.shape[0] * T.shape[1], -1)
+    T.flags.writeable = False  # one array serves every call
+    return T
+
+
 def assemble_convection(v_space, transport_coeffs, degree=None):
     """Skew-symmetrized convection for a frozen transport field.
 
     Returns element matrices in the layout of ``assemble_stress``: the
     same scalar skew block for every component, zero coupling between
-    components.
+    components.  On an affine cell grad phi_b = sum_l d_l phi_b
+    grad lambda_l, so (u . grad phi_b, phi_a) contracts the cell's
+    W[k, l] = |det J| u_k . grad lambda_l, u_k the transport's
+    coefficients, with the reference tensor ``_convection_tensor`` (Kirby
+    & Logg, ACM TOMS 32, 2006): one GEMM, the degree rule's sums reordered.
     """
     if degree is None:
         degree = 3 * v_space.element.degree
-    _, phi, gphys, _ = v_space.tabulation(degree)
-    nc, nq, nloc, d = gphys.shape
-    wu = v_space.cell_weights(degree)[:, :, None] * v_space.eval_at_qp(
-        transport_coeffs, degree)
-    # transport[c, b, q] = wd (u . grad phi_b) at point q, summed
-    # elementwise over the components of the gradient rows
-    rows = v_space.grad_rows(degree).reshape(nc, nloc, d, nq)
-    transport = sum(rows[:, :, i] * wu[:, None, :, i] for i in range(d))
-    # Ct[c, b, a] = C[c, a, b] = sum_q transport[c, b, q] phi_a
-    Ct = (transport.reshape(nc * nloc, nq) @ phi).reshape(nc, nloc, nloc)
+    nc, nloc, d = v_space.mesh.n_cells, v_space.n_local, v_space.mesh.dim
+    U = v_space.coeffs_by_component(transport_coeffs)
+    Uloc = np.moveaxis(U[:, v_space.cell_dofs], 0, -1)  # (nc, n_local, d)
+    W = v_space.detJ[:, None, None] * (Uloc @ np.swapaxes(v_space.grad_lambda, 1, 2))
+    # Ct[c, b, a] = C[c, a, b]
+    Ct = (W.reshape(nc, -1) @ _convection_tensor(v_space.element.name, degree)
+          ).reshape(nc, nloc, nloc)
     local = np.zeros((nc, d, nloc, d, nloc))
     for i in range(d):
         local[:, i, :, i, :] = 0.5 * (np.swapaxes(Ct, 1, 2) - Ct)

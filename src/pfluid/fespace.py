@@ -2,8 +2,8 @@
 
 Provides quadrature rules (conical product construction with
 nonnegative weights), the velocity/pressure elements (P1, P2,
-P1+bubble), scalar and vector dof maps and nodal interpolation.
-Everything is two-dimensional.
+P1+bubble), scalar and vector dof maps, nodal interpolation and the
+sparse symmetric-gradient operator.  Everything is two-dimensional.
 
 Scalar dofs are numbered vertices first, then edges, then cells; a
 vector field with k components stores component i in the contiguous
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
+from scipy import sparse
 
 
 # -- quadrature --------------------------------------------------------
@@ -331,22 +332,30 @@ class FESpace:
         U = self.coeffs_by_component(coeffs)
         return np.matmul(phi, U.T[self.cell_dofs])
 
-    def sym_grad_at_qp(self, coeffs, degree):
-        """Symmetric gradient of a two-component field at the quadrature
-        points as its three components (a, b, c), sym Du = [[a, c], [c, b]],
-        each of shape (nc, nq).
-
-        One batched matmul of the local coefficients (nc, 2, n_local)
-        with the gradient rows (nc, n_local, 2*nq); a and b are views of
-        its result, and no 2 x 2 tensor is formed.
-        """
+    def sym_grad_operator(self, degree):
+        """CSR matrix D, (3 nc nq, n_dofs), from a two-component field to
+        sym Du = [[a, c], [c, b]] at the degree rule's points, component-
+        major: ``(D @ U).reshape(3, nc, nq)`` is (a, b, c).  Built in CSR
+        with int32 indices from the gradient rows: an a (b) row holds
+        d_x phi (d_y phi) on one component's dofs, a c row both halves.
+        ``D.T`` is a CSC view of it.  Not cached: callers hold D."""
         if self.n_components != 2:
             raise ValueError("symmetric gradients need a two-component field")
         G = self.grad_rows(degree)
-        U = self.coeffs_by_component(coeffs)
-        Uloc = np.swapaxes(U[:, self.cell_dofs], 0, 1)  # (nc, 2, nloc)
-        g = np.matmul(Uloc, G).reshape(len(G), 2, 2, -1)
-        return g[:, 0, 0], g[:, 1, 1], 0.5 * (g[:, 0, 1] + g[:, 1, 0])
+        nc, nloc, _ = G.shape
+        d = np.moveaxis(G.reshape(nc, nloc, 2, -1), 1, -1)  # (nc, l, q, b)
+        nq = d.shape[2]
+        dofs = self.local_vector_dofs().astype(np.int32).reshape(nc, 2, 1, nloc)
+        # the a rows, the b rows, then the c rows, each point by point
+        data = np.concatenate([np.moveaxis(d, 1, 0), 0.5 * np.moveaxis(d[:, ::-1], 1, 2)],
+                              axis=None)
+        indices = np.concatenate(
+            [np.broadcast_to(np.moveaxis(dofs, 1, 0), (2, nc, nq, nloc)),
+             np.broadcast_to(np.moveaxis(dofs, 1, 2), (nc, nq, 2, nloc))], axis=None)
+        split = 2 * nc * nq * nloc
+        indptr = np.concatenate([np.arange(0, split, nloc, dtype=np.int32), np.arange(
+            split, 2 * split + 1, 2 * nloc, dtype=np.int32)])
+        return sparse.csr_matrix((data, indices, indptr), shape=(3 * nc * nq, self.n_dofs))
 
     def integrate(self, values, degree):
         """Integral over the mesh of per-point values (nc, nq, ...)."""

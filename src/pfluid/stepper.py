@@ -19,7 +19,8 @@ see ``StepperContext.step``.  Consecutive step matrices differ only by
 the change of the transport field and of the iterate, so the Newton LU
 a step ends with is carried into the next step as its first chord
 direction, and a level of a smooth run factors a handful of times
-rather than once per step.  A step hands the velocity block of its KKT
+rather than once per step; so is the stress of its final iterate, the
+next step's first residual.  A step hands the velocity block of its KKT
 matrix to ``assembly.SaddleSystem.factor`` as element matrices, so the
 MINI bubbles are condensed out cell by cell and only the P1-P1 system is
 factored; the solver returns the full velocity, and the residual that
@@ -133,7 +134,8 @@ class StepperContext:
     by cell.  The residual applies the same M/kappa + N as an element
     matvec (``assembly.local_matvec``), so no sparse M or N is built.
     The context holds the Newton LU its last step ended with, for the
-    next step to try first.
+    next step to try first, the stress of the iterate it ended at, and
+    the symmetric-gradient operator D, whose transpose applies the stress.
     """
 
     def __init__(self, v_space, q_space, model, kappa, options=None):
@@ -148,21 +150,27 @@ class StepperContext:
         # M/kappa as element matrices, the part of every KKT matrix that
         # stays fixed over the run
         self._fixed_data = assembly.local_mass(v_space) / self.kappa
+        # sym Du at the flow rule's points and its transposed view
+        D = v_space.sym_grad_operator(self.opts.quad_degree)
+        self._sym_ops = (D, D.T)
         self._lu = None  # the Newton LU the last step ended with
+        self._stress = None  # (U, stress vector, state) the last step ended at
 
-    def _residual(self, x, step_data, rhs_u):
-        """(R, |R|, state): the step residual at x = (U, Q), its norm and
-        the stress state of U it was built from."""
+    def _residual(self, x, step_data, rhs_u, stress=None):
+        """(R, |R|, (U, s, state)): the step residual at x = (U, Q), its
+        norm, and U with its stress vector s and the stress state s was
+        built from; ``stress``, such a triple of this U, is reused."""
         nu = self.v_space.n_dofs
         U, Q = x[:nu], x[nu:]
-        s, state = assembly.assemble_stress(
-            self.v_space, U, self.model, degree=self.opts.quad_degree, jacobian=None
-        )
-        Ru = (assembly.local_matvec(self.v_space, step_data, U) + s
+        if stress is None:
+            stress = (U,) + assembly.assemble_stress(
+                self.v_space, U, self.model, degree=self.opts.quad_degree,
+                jacobian=None, sym_ops=self._sym_ops)
+        Ru = (assembly.local_matvec(self.v_space, step_data, U) + stress[1]
               - self._Bt @ Q - rhs_u)
         Ru[self.bdofs] = U[self.bdofs]
         R = np.concatenate([Ru, self.B @ U])
-        return R, float(np.linalg.norm(R)), state
+        return R, float(np.linalg.norm(R)), stress
 
     def _factor(self, U, step_data, mode, state=None):
         """Solver for the step's element matrices plus the stress
@@ -191,12 +199,13 @@ class StepperContext:
         from the same iterate, taken unconditionally.  The LU is also
         dropped after every accepted iteration with r_new >
         ``CHORD_CONTRACTION`` r_old.  Picard LUs are not kept.  A
-        converged step leaves its Newton LU, if any, for the next; a step
-        that raises leaves none.
+        converged step leaves its Newton LU, if any, and the stress of
+        its final iterate for the next, which reuses that stress if its
+        U equals the iterate (``np.array_equal``); a step that raises
+        leaves neither.
         """
-        # the Newton LU kept for chord directions; a step that raises
-        # leaves none behind
         lu, self._lu = self._lu, None
+        carried, self._stress = self._stress, None
         nu = self.v_space.n_dofs
         nq = self.q_space.n_dofs
         if F is None:
@@ -216,10 +225,11 @@ class StepperContext:
 
         kkt = self.kkt
         factored, fallbacks = kkt.factorizations, kkt.pivot_fallbacks
-        # the stress state of the current iterate, so a fresh operator
-        # reuses the residual's
+        # the current iterate's stress, whose state a fresh operator reuses
+        if carried is not None and not np.array_equal(carried[0], U):
+            carried = None
         x = np.concatenate([U, Q])
-        R, rnorm, state = self._residual(x, step_data, rhs_u)
+        R, rnorm, stress = self._residual(x, step_data, rhs_u, carried)
         history = [rnorm]
         picard_steps = 0
         last = None  # the solver of the step's last solve
@@ -245,7 +255,7 @@ class StepperContext:
             accepted = False
             try:
                 if not chord:
-                    lu = self._factor(x[:nu], step_data, "newton", state)
+                    lu = self._factor(x[:nu], step_data, "newton", stress[2])
                 last = lu
                 x_try = x + lu(-R)
             except assembly.LinearSolveError:
@@ -253,7 +263,7 @@ class StepperContext:
                 if chord:
                     continue
             else:
-                R_try, r_try, state_try = self._residual(x_try, step_data, rhs_u)
+                R_try, r_try, stress_try = self._residual(x_try, step_data, rhs_u)
                 accepted = r_try <= (1.0 - 1e-4) * rnorm or r_try <= tol_eff
                 if not accepted or r_try > CHORD_CONTRACTION * rnorm:
                     lu = None
@@ -264,16 +274,16 @@ class StepperContext:
                 # gives the next iterate itself
                 picard_steps += 1
                 try:
-                    last = self._factor(x[:nu], step_data, "picard", state)
+                    last = self._factor(x[:nu], step_data, "picard", stress[2])
                     x_try = last(kkt.rhs(rhs_u, np.zeros(nq)))
                 except assembly.LinearSolveError as exc:
                     raise NonConvergenceError(
                         f"linear solve failed at t={t_m:.6g}: {exc}"
                     ) from exc
-                R_try, r_try, state_try = self._residual(x_try, step_data, rhs_u)
-            x, R, rnorm, state = x_try, R_try, r_try, state_try
+                R_try, r_try, stress_try = self._residual(x_try, step_data, rhs_u)
+            x, R, rnorm, stress = x_try, R_try, r_try, stress_try
             history.append(rnorm)
-        self._lu = lu
+        self._lu, self._stress = lu, stress
         return x[:nu].copy(), x[nu:].copy(), diagnostics(True)
 
 
@@ -303,9 +313,10 @@ class Trajectory:
     def f_norm_sq(self, degree=5):
         """||F(Du_h^m)||_2^2 for m = 0..M, with |F(Du)| = f_weight(t) t
         and t = |sym Du| from its three components."""
+        sym_op = self.v_space.sym_grad_operator(degree)
         out = []
         for U in self.velocities:
-            t = sym_norm(*self.v_space.sym_grad_at_qp(U, degree))
+            t = sym_norm(*(sym_op @ U).reshape(3, self.v_space.mesh.n_cells, -1))
             Fn = self.model.f_weight(t) * t
             out.append(float(self.v_space.integrate(Fn * Fn, degree)))
         return np.array(out)

@@ -332,15 +332,16 @@ def error_record(traj: Trajectory, ms: ManufacturedSolution, model=None,
                  degree=7) -> ErrorRecord:
     """Per-step errors of traj against ms, one step at a time.
 
-    sym Du is taken in its three components (``FESpace.sym_grad_at_qp``
-    and ``sym_components`` of the exact gradient), so F(Du) =
-    f_weight(|sym Du|) sym Du and every norm is formed from them.  The
+    sym Du is taken in its three components (``FESpace.sym_grad_operator``,
+    built once per record, and ``sym_components`` of the exact gradient),
+    so F(Du) = f_weight(|sym Du|) sym Du and every norm is formed from them.  The
     exact profile u_hat and its sym D u_hat are evaluated once, at the
     degree rule's points, and scaled by alpha(t_m) at each step.
     """
     model = model or traj.model
     sp_v = traj.v_space
     xq = sp_v.tabulation(degree)[3]
+    sym_op = sp_v.sym_grad_operator(degree)
     u_hat, G_hat = ms.velocity(xq, 1)
     A_hat = np.stack(sym_components(G_hat))
     t_hat = sym_norm(*A_hat)
@@ -358,7 +359,7 @@ def error_record(traj: Trajectory, ms: ManufacturedSolution, model=None,
         # components stacked as (3, nc, nq): a step allocates a few large
         # arrays, not many point-sized ones, which keeps the heap (and
         # the peak RSS of long runs) from fragmenting
-        Ah = np.stack(sp_v.sym_grad_at_qp(U, degree))
+        Ah = (sym_op @ U).reshape(A_hat.shape)
         Ae = al * A_hat
         diff = uh - al * u_hat
         l2[m] = np.sqrt(sp_v.integrate(np.sum(diff * diff, -1), degree))
@@ -826,16 +827,17 @@ def quasi_norm_suite(mesh, model: StressModel, samples=100, seed=0) -> QuasiNorm
         raise ValueError("suite requires at least 100 sample pairs")
     V = FESpace(mesh, "P1", n_components=2)
     vols = 0.5 * V.detJ  # cell areas: the reference triangle has area 1/2
+    # P1 gradients are cellwise constant: the degree-1 rule has one point
+    # per cell
+    sym_op = V.sym_grad_operator(1)
     rng = np.random.default_rng(seed)
     p = model.p
     ratios = np.zeros(samples)
     for i in range(samples):
         U = rng.uniform(-1.0, 1.0, V.n_dofs)
         W = rng.uniform(-1.0, 1.0, V.n_dofs)
-        # P1 gradients are cellwise constant: the degree-1 rule has one
-        # point per cell
-        Au = np.stack(V.sym_grad_at_qp(U, 1))[..., 0]
-        Aw = np.stack(V.sym_grad_at_qp(W, 1))[..., 0]
+        Au = (sym_op @ U).reshape(3, -1)
+        Aw = (sym_op @ W).reshape(3, -1)
         tu, tw = sym_norm(*Au), sym_norm(*Aw)
         ndu = float(np.sum(vols * tu ** p) ** (1.0 / p))
         ndiff = float(np.sum(vols * sym_norm(*(Au - Aw)) ** p) ** (1.0 / p))
@@ -914,9 +916,9 @@ def weak_residual_check(ms: ManufacturedSolution, model: StressModel,
              - f(t, Xflat).reshape(nc, nq, 2))
     r = assembly.load_vector(v_space, wd * np.moveaxis(point, -1, 0), degree)
     hu = 0.5 * wd[..., None] * u
-    r += assembly.sym_load_vector(v_space, wg * a - hu[..., 0] * u[..., 0] - wq,
-                                  wg * b - hu[..., 1] * u[..., 1] - wq,
-                                  wg * c - hu[..., 0] * u[..., 1], degree)
+    r += assembly.sym_load_vector(v_space.sym_grad_operator(degree).T, np.stack(
+        [wg * a - hu[..., 0] * u[..., 0] - wq, wg * b - hu[..., 1] * u[..., 1] - wq,
+         wg * c - hu[..., 0] * u[..., 1]]))
 
     rng = np.random.default_rng(seed)
     H = assembly.assemble_stiffness(v_space) + assembly.assemble_mass(v_space)

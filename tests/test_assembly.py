@@ -531,8 +531,10 @@ def test_field_evaluation_matches_reference(element, ncomp, degree):
     assert np.abs(vals - ref_v).max() <= 1e-13 * np.abs(ref_v).max()
     if ncomp == 2:
         ref_g = ref_grad(vs, c, degree)
-        sym = np.stack(vs.sym_grad_at_qp(c, degree))
-        assert sym.shape == (3, nc, nq)
+        D = vs.sym_grad_operator(degree)
+        assert D.shape == (3 * nc * nq, vs.n_dofs) and D.nnz == 4 * nc * nq * vs.n_local
+        assert D.indices.dtype == D.indptr.dtype == np.int32
+        sym = (D @ c).reshape(3, nc, nq)
         ref_sym = np.stack([ref_g[..., 0, 0], ref_g[..., 1, 1],
                             0.5 * (ref_g[..., 0, 1] + ref_g[..., 1, 0])])
         assert np.abs(sym - ref_sym).max() <= 1e-13 * max(np.abs(ref_g).max(), 1.0)
@@ -555,6 +557,22 @@ def test_stress_residual_matches_reference(pair, p, delta):
                      (state.c, A[..., 0, 1]), (state.t, t),
                      (state.g, (delta + t) ** (p - 2.0))]:
         assert rel_err(got, ref) < 1e-13
+
+
+@pytest.mark.parametrize("pair", ["MINI", "TH"])
+@pytest.mark.parametrize("delta", [0.1, 0.0])
+def test_residual_state_gives_the_fresh_operators(pair, delta):
+    """The state a residual returns is intact: the Newton and Picard
+    operators built from it equal those built with state=None, bit for
+    bit."""
+    vs, _ = spaces(pair, 4)
+    c = 0.5 * np.random.default_rng(14).standard_normal(vs.n_dofs)
+    model = StressModel(1.6, delta)
+    _, state = assemble_stress(vs, c, model, jacobian=None)
+    for mode in ("newton", "picard"):
+        _, K = assemble_stress(vs, c, model, jacobian=mode, state=state)
+        _, K_fresh = assemble_stress(vs, c, model, jacobian=mode, state=None)
+        np.testing.assert_array_equal(K, K_fresh)
 
 
 @pytest.mark.parametrize("pair", ["MINI", "TH"])

@@ -131,7 +131,7 @@ def test_p2_gradient_evaluation():
     c = interpolate(space, lambda X: np.stack(
         [X[..., 0] ** 2 + X[..., 1], X[..., 0] * X[..., 1]], axis=-1))
     x, y = np.moveaxis(space.tabulation(3)[3], -1, 0)
-    a, b, cc = space.sym_grad_at_qp(c, 3)
+    a, b, cc = (space.sym_grad_operator(3) @ c).reshape(3, *x.shape)
     assert np.allclose(a, 2.0 * x, atol=1e-12)
     assert np.allclose(b, x, atol=1e-12)
     assert np.allclose(cc, 0.5 * (1.0 + y), atol=1e-12)

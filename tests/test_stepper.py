@@ -359,28 +359,113 @@ def test_carried_lu_matches_fresh_context_steps(pair):
 
 
 def test_raising_step_leaves_no_lu(monkeypatch):
-    """A converged Newton step leaves its LU for the next step; a step
-    that raises leaves none, whatever it was handed."""
+    """A converged Newton step leaves its LU and its final stress for the
+    next step; a step that raises leaves neither, whatever it was
+    handed."""
     vs, qs = mini_spaces(3)
     model = StressModel(1.6, 0.1)
     grid = TimeGrid(0.2, 4)
     traj = run_simulation(vs, qs, model, grid, bump)
     U1, Q1, t = traj.velocities[1], traj.pressures[1], grid.times()[2]
     ctx = StepperContext(vs, qs, model, grid.kappa)
-    ctx.step(U1, Q1, t)
-    assert ctx._lu is not None
+    U2, Q2, _ = ctx.step(U1, Q1, t)
+    assert ctx._lu is not None and ctx._stress is not None
     monkeypatch.setattr(stepper, "MAX_ITERATIONS", 0)
     with pytest.raises(NonConvergenceError):
-        ctx.step(U1, Q1, t)
-    assert ctx._lu is None
+        ctx.step(U2, Q2, t)
+    assert ctx._lu is None and ctx._stress is None
+
+
+def record_residuals(monkeypatch):
+    """Patch ``StepperContext._residual``; the returned list gets (context,
+    whether a stress was handed in) per call.  Only a step's first
+    residual is handed one, the stress its context carried."""
+    real = StepperContext._residual
+    calls = []
+
+    def residual(self, x, step_data, rhs_u, stress=None):
+        calls.append((self, stress is not None))
+        return real(self, x, step_data, rhs_u, stress)
+
+    monkeypatch.setattr(StepperContext, "_residual", residual)
+    return calls
+
+
+def test_carried_stress_matches_recomputed_steps(monkeypatch):
+    """A step that starts from the iterate its predecessor ended at reuses
+    that iterate's stress for its first residual, and gives bit for bit
+    the U, Q and diagnostics of the same steps with the carry cleared."""
+    calls = record_residuals(monkeypatch)
+    vs, qs = mini_spaces(4)
+    model = StressModel(1.6, 0.1)
+    grid = TimeGrid(0.2, 3)
+    carrying, cleared = (StepperContext(vs, qs, model, grid.kappa) for _ in range(2))
+    U0 = stepper.div_preserving_projection(carrying, bump)
+    states = [(U0, np.zeros(qs.n_dofs))] * 2
+    for t in grid.times()[1:]:
+        cleared._stress = None
+        results = [ctx.step(*state, t) for ctx, state in zip((carrying, cleared), states)]
+        (Ua, Qa, da), (Ub, Qb, db) = results
+        np.testing.assert_array_equal(Ua, Ub)
+        np.testing.assert_array_equal(Qa, Qb)
+        assert da == db and da.iterations > 0
+        states = [(Ua, Qa), (Ub, Qb)]
+    # steps 2 and 3 of the carrying context
+    assert [ctx is carrying for ctx, handed in calls if handed] == [True, True]
+
+
+def test_step_recomputes_stress_of_a_new_start(monkeypatch):
+    """The carried stress serves only a step whose starting U is the
+    iterate it belongs to: a step from ``initial`` or from another U_prev
+    computes its first stress."""
+    calls = record_residuals(monkeypatch)
+    vs, qs = mini_spaces(3)
+    model = StressModel(1.6, 0.1)
+    grid = TimeGrid(0.2, 4)
+    ctx = StepperContext(vs, qs, model, grid.kappa)
+    U0 = stepper.div_preserving_projection(ctx, bump)
+    t1, t2, t3 = grid.times()[1:4]
+
+    def carried(U_prev, Q_prev, t, **kwargs):
+        n = len(calls)
+        U, Q, _ = ctx.step(U_prev, Q_prev, t, **kwargs)
+        return U, Q, any(handed for _, handed in calls[n:])
+
+    U1, Q1, first = carried(U0, np.zeros(qs.n_dofs), t1)
+    assert not first
+    assert not carried(U1, Q1, t2, initial=(0.5 * U1, Q1))[2]
+    # the carry belongs to the solution of the step just taken, not to U1
+    U2, Q2, from_u1 = carried(U1, Q1, t2)
+    assert not from_u1 and carried(U2, Q2, t3)[2]
+
+
+@pytest.mark.parametrize("pair", ["MINI", "TH"])
+def test_run_never_tabulates_the_convection_rule(monkeypatch, pair):
+    """The convection contracts a reference tensor, so a run keeps no
+    per-cell table of its degree-3k rule."""
+    real = FESpace.tabulation
+    degrees = set()
+
+    def tabulation(self, degree):
+        degrees.add(degree)
+        return real(self, degree)
+
+    monkeypatch.setattr(FESpace, "tabulation", tabulation)
+    vel, pre = element_pair(pair)
+    mesh = unit_square_mesh(3)
+    vs, qs = FESpace(mesh, vel, n_components=2), FESpace(mesh, pre)
+    traj = run_simulation(vs, qs, StressModel(1.8, 0.1), TimeGrid(0.2, 2), bump)
+    assert all(d.converged for d in traj.diagnostics)
+    assert degrees and 3 * vs.element.degree not in degrees
 
 
 @pytest.mark.parametrize("pair", ["MINI", "TH"])
 def test_fresh_newton_operator_reuses_residual_state(monkeypatch, pair):
     """A fresh Newton operator is built at an iterate whose residual was
     just evaluated, from that residual's stress state: a smooth forced
-    run evaluates one velocity gradient per residual, none per
-    factorization."""
+    run evaluates one velocity gradient per residual assembly, none per
+    factorization, and a step's first residual, carried from the step
+    before, is neither."""
     counts = {"gradients": 0, "residuals": 0, "newton": 0}
 
     def counting(name, real):
@@ -389,8 +474,8 @@ def test_fresh_newton_operator_reuses_residual_state(monkeypatch, pair):
             return real(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(FESpace, "sym_grad_at_qp",
-                        counting("gradients", FESpace.sym_grad_at_qp))
+    monkeypatch.setattr(assembly, "StressState",
+                        counting("gradients", assembly.StressState))
     real_stress = assembly.assemble_stress
 
     def stress(*args, jacobian="newton", **kwargs):
@@ -409,6 +494,9 @@ def test_fresh_newton_operator_reuses_residual_state(monkeypatch, pair):
     assert counts["newton"] == sum(d.factorizations for d in traj.diagnostics) > 0
     assert counts["residuals"] > counts["newton"]
     assert counts["gradients"] == counts["residuals"]
+    # every step's iterates but the first of steps 2..M
+    diags = traj.diagnostics
+    assert counts["residuals"] == sum(len(d.residual_history) for d in diags) - (len(diags) - 1)
 
 
 @pytest.mark.parametrize("failure", ["reversed", "raises", "halved"])
