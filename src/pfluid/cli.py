@@ -1,6 +1,11 @@
 """Batch front end: JSON run configs in, CSV tables and reports out.
 
 Commands: simulate, study, properties, gronwall-check, bochner-check.
+Each config key is one row of ``KEYS``; ``parse_config`` walks the table,
+``RunConfig`` takes its fields and defaults from it, ``resolved()`` walks
+it back, and the keys a section allows are the table's paths.  Only the
+rules that tie keys to the command are code (``_validate_command_args``).
+
 Exit codes: 0 success, 2 config error, 3 solver non-convergence,
 4 acceptance-check failure, 5 any other error (for example a failed
 linear solve).  Identical config + seed produces byte-identical CSV
@@ -18,6 +23,7 @@ import math
 import os
 from pathlib import Path
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,7 +33,7 @@ from .mesh import unit_square_mesh
 from .pstructure import RATIO_NAMES, StressModel, equivalence_envelope
 from .stepper import (NonConvergenceError, SolverOptions, TimeGrid,
                       run_simulation)
-from .tables import report
+from .tables import csv, report
 
 log = logging.getLogger("pfluid.cli")
 
@@ -43,75 +49,109 @@ class CheckFailureError(RuntimeError):
     """A requested verification check did not hold."""
 
 
-@dataclasses.dataclass
-class RunConfig:
-    command: str
-    p: float = None
-    delta: float = None
-    element: str = "MINI"
-    n: int = None
-    levels: tuple = None
-    t_end: float = None
-    n_steps: int = None
-    steps: tuple = None
-    sigma: float = None
-    quad_flow: int = 5
-    quad_error: int = 7
-    manufactured: str = "smooth-periodic"
-    forcing: str = "manufactured"
-    seed: int = 42
-    samples: int = 10000
-    data: str = None
-    output: str = "results"
+class Key(NamedTuple):
+    """One config key: where it lives, its default and how it is checked."""
 
-    def resolved(self) -> dict:
-        """Schema-shaped dict with every default materialized."""
-        disc = {"element": self.element,
-                "quadrature": {"flow": self.quad_flow, "error": self.quad_error}}
-        for key, val in (("n", self.n), ("levels", self.levels),
-                         ("T", self.t_end), ("M", self.n_steps),
-                         ("steps", self.steps), ("sigma", self.sigma)):
-            if val is not None:
-                disc[key] = list(val) if isinstance(val, tuple) else val
-        out = {"command": self.command, "discretization": disc,
-               "seed": self.seed, "output": self.output}
-        if self.p is not None:
-            out["model"] = {"p": self.p, "delta": self.delta}
-        if self.command in ("simulate", "study"):
-            out["manufactured"] = self.manufactured
-            out["forcing"] = self.forcing
-        if self.command == "properties":
-            out["samples"] = self.samples
-        if self.data is not None:
-            out["data"] = self.data
-        return out
+    attr: str               # RunConfig attribute
+    path: tuple             # path in the config document
+    default: object         # taken when the key is absent
+    check: Callable         # a given value must pass it...
+    message: str            # ...or fail with this, which may name it as {value}
+    store: Callable = None  # stored form, for example float
+    echo: tuple = COMMANDS  # commands whose resolved config echoes the key
+    required: bool = False  # must be given whenever its section is
 
 
-def _require_keys(mapping, allowed, section):
-    for key in mapping:
-        if key not in allowed:
-            raise ConfigError(f"unknown config key {key!r} in {section}")
+def _number(v):
+    # bool is an int subclass, and true must not pass as 1
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _positive_int(val, name):
-    if not isinstance(val, int) or isinstance(val, bool) or val < 1:
-        raise ConfigError(f"{name} must be an integer >= 1")
-    return val
+def _integer(v):
+    return _number(v) and isinstance(v, int)
 
 
-def parse_config(text: str) -> RunConfig:
-    """Validate a JSON config document into a RunConfig.
+def _positive_int(v):
+    return _integer(v) and v >= 1
 
-    Unknown keys anywhere in the document are rejected, as are NaN,
-    Infinity, -Infinity and literals that overflow a float (1e400, or an
-    integer of 400 digits), which Python's JSON reader accepts and range
-    checks miss or meet with an OverflowError; error messages name the
-    offending field or the violated invariant.
+
+def _positive_ints(v):
+    return isinstance(v, list) and bool(v) and all(map(_positive_int, v))
+
+
+KEYS = (
+    Key("p", ("model", "p"), None, lambda v: _number(v) and 1.0 < v <= 2.0,
+        "p must lie in (1,2]", float, required=True),
+    Key("delta", ("model", "delta"), None, lambda v: _number(v) and v >= 0.0,
+        "delta must be >= 0", float, required=True),
+    Key("element", ("discretization", "element"), "MINI",
+        lambda v: v in ("MINI", "TH", "P2P1"), "element must be MINI, TH or P2P1"),
+    Key("n", ("discretization", "n"), None, _positive_int,
+        "discretization.n must be an integer >= 1"),
+    Key("levels", ("discretization", "levels"), None, _positive_ints,
+        "levels must each be >= 1", tuple),
+    Key("t_end", ("discretization", "T"), None, lambda v: _number(v) and v > 0.0,
+        "T must be > 0", float),
+    Key("n_steps", ("discretization", "M"), None, _positive_int,
+        "M must be an integer >= 1"),
+    Key("steps", ("discretization", "steps"), None, _positive_ints,
+        "steps must each be >= 1", tuple),
+    Key("sigma", ("discretization", "sigma"), None,
+        lambda v: _number(v) and v > 0.0, "sigma must be > 0", float),
+    Key("quad_flow", ("discretization", "quadrature", "flow"), 5, _positive_int,
+        "quadrature.flow must be an integer >= 1"),
+    Key("quad_error", ("discretization", "quadrature", "error"), 7, _positive_int,
+        "quadrature.error must be an integer >= 1"),
+    Key("manufactured", ("manufactured",), "smooth-periodic",
+        lambda v: v is None or isinstance(v, str) and v in verif._ALPHAS,
+        "unknown manufactured solution id {value!r}; available: "
+        + ", ".join(sorted(verif._ALPHAS)), echo=("simulate", "study")),
+    Key("forcing", ("forcing",), "manufactured",
+        lambda v: v in ("manufactured", "zero"),
+        "forcing must be 'manufactured' or 'zero'", echo=("simulate", "study")),
+    Key("seed", ("seed",), 42, lambda v: _integer(v) and v >= 0,
+        "seed must be a nonnegative integer"),
+    Key("samples", ("samples",), 10000, _positive_int,
+        "samples must be an integer >= 1", echo=("properties",)),
+    Key("data", ("data",), None, lambda v: isinstance(v, str),
+        "data must be a path string"),
+    Key("output", ("output",), "results", lambda v: isinstance(v, str) and v != "",
+        "output must be a nonempty path string"),
+)
+SEED = next(key for key in KEYS if key.attr == "seed")
+
+
+def _resolved(cfg) -> dict:
+    """Schema-shaped dict: every default materialized, unset optional keys left out."""
+    out = {"command": cfg.command}
+    for key in KEYS:
+        value = getattr(cfg, key.attr)
+        if cfg.command in key.echo and (value is not None or key.default is not None):
+            section = out
+            for name in key.path[:-1]:
+                section = section.setdefault(name, {})
+            section[key.path[-1]] = list(value) if isinstance(value, tuple) else value
+    return out
+
+
+RunConfig = dataclasses.make_dataclass(
+    "RunConfig",
+    [("command", str)]
+    + [(key.attr, object, dataclasses.field(default=key.default)) for key in KEYS],
+    namespace={"resolved": _resolved})
+
+
+def _read_json(text: str, what: str = "config") -> dict:
+    """Parse a JSON object; ``what`` names the document in error messages.
+
+    NaN, Infinity, -Infinity and literals that overflow a float (1e400, or
+    an integer of 400 digits) are rejected: Python's JSON reader accepts
+    them, and range checks miss them or meet them with an OverflowError.
     """
     def finite(literal):
         value = float(literal)
         if not math.isfinite(value):
-            raise ConfigError(f"non-finite number {literal} in config")
+            raise ConfigError(f"non-finite number {literal} in {what}")
         return value
 
     def finite_int(literal):
@@ -123,127 +163,76 @@ def parse_config(text: str) -> RunConfig:
                          parse_constant=finite)
     except json.JSONDecodeError as e:
         raise ConfigError(
-            f"config parse error at line {e.lineno}, column {e.colno}: {e.msg}"
+            f"{what} parse error at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from None
     if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    _require_keys(doc, {"command", "model", "discretization", "manufactured",
-                        "forcing", "seed", "samples", "data", "output"},
-                  "the top level")
+        raise ConfigError(f"{what} must be a JSON object")
+    return doc
+
+
+def _require_keys(mapping, allowed, section):
+    for key in mapping:
+        if key not in allowed:
+            raise ConfigError(f"unknown config key {key!r} in {section}")
+
+
+def _section(doc: dict, path: tuple):
+    """The object at ``path`` in the config, None where it is absent; each
+    object on the way may hold only the keys the table's paths name."""
+    section = doc
+    for depth in range(1, len(path) + 1):
+        where = path[:depth]
+        section = section.get(path[depth - 1])
+        if section is None:
+            return None
+        if not isinstance(section, dict):
+            raise ConfigError(f"{'.'.join(where)} must be an object")
+        _require_keys(section, {key.path[depth] for key in KEYS
+                                if key.path[:depth] == where}, ".".join(where))
+    return section
+
+
+def _checked(key: Key, value):
+    if not key.check(value):
+        raise ConfigError(key.message.format(value=value))
+    return value if key.store is None else key.store(value)
+
+
+def parse_config(text: str) -> RunConfig:
+    """Validate a JSON config document into a RunConfig.
+
+    Unknown keys anywhere in the document are rejected; error messages
+    name the offending field or the violated invariant.
+    """
+    doc = _read_json(text)
+    _require_keys(doc, {"command"} | {key.path[0] for key in KEYS}, "the top level")
     command = doc.get("command")
     if command not in COMMANDS:
         raise ConfigError(f"command must be one of {', '.join(COMMANDS)}")
-    cfg = RunConfig(command=command)
-
-    model = doc.get("model")
-    if model is not None:
-        if not isinstance(model, dict):
-            raise ConfigError("model must be an object")
-        _require_keys(model, {"p", "delta"}, "model")
-        if "p" not in model:
-            raise ConfigError("model.p is required")
-        if "delta" not in model:
-            raise ConfigError("model.delta is required")
-        p, delta = model["p"], model["delta"]
-        if not isinstance(p, (int, float)) or not 1.0 < float(p) <= 2.0:
-            raise ConfigError("p must lie in (1,2]")
-        if not isinstance(delta, (int, float)) or float(delta) < 0.0:
-            raise ConfigError("delta must be >= 0")
-        cfg.p, cfg.delta = float(p), float(delta)
-    elif command in ("simulate", "study"):
-        raise ConfigError("model is required")
-
-    disc = doc.get("discretization")
-    if disc is not None:
-        if not isinstance(disc, dict):
-            raise ConfigError("discretization must be an object")
-        _require_keys(disc, {"element", "n", "levels", "T", "M", "steps",
-                             "sigma", "quadrature"}, "discretization")
-        if "element" in disc:
-            if disc["element"] not in ("MINI", "TH", "P2P1"):
-                raise ConfigError("element must be MINI, TH or P2P1")
-            cfg.element = disc["element"]
-        if "n" in disc:
-            cfg.n = _positive_int(disc["n"], "discretization.n")
-        if "levels" in disc:
-            levels = disc["levels"]
-            if (not isinstance(levels, list) or not levels
-                    or any(not isinstance(v, int) or isinstance(v, bool)
-                           or v < 1 for v in levels)):
-                raise ConfigError("levels must each be >= 1")
-            cfg.levels = tuple(levels)
-        if "T" in disc:
-            T = disc["T"]
-            if not isinstance(T, (int, float)) or float(T) <= 0.0:
-                raise ConfigError("T must be > 0")
-            cfg.t_end = float(T)
-        if "M" in disc:
-            cfg.n_steps = _positive_int(disc["M"], "M")
-        if "steps" in disc:
-            steps = disc["steps"]
-            if (not isinstance(steps, list) or not steps
-                    or any(not isinstance(v, int) or isinstance(v, bool)
-                           or v < 1 for v in steps)):
-                raise ConfigError("steps must each be >= 1")
-            cfg.steps = tuple(steps)
-        if "sigma" in disc:
-            sig = disc["sigma"]
-            if not isinstance(sig, (int, float)) or float(sig) <= 0.0:
-                raise ConfigError("sigma must be > 0")
-            cfg.sigma = float(sig)
-        quad = disc.get("quadrature")
-        if quad is not None:
-            if not isinstance(quad, dict):
-                raise ConfigError("discretization.quadrature must be an object")
-            _require_keys(quad, {"flow", "error"}, "discretization.quadrature")
-            if "flow" in quad:
-                cfg.quad_flow = _positive_int(quad["flow"], "quadrature.flow")
-            if "error" in quad:
-                cfg.quad_error = _positive_int(quad["error"], "quadrature.error")
-
-    if "manufactured" in doc:
-        ms_id = doc["manufactured"]
-        if ms_id is not None and ms_id not in verif._ALPHAS:
-            raise ConfigError(
-                f"unknown manufactured solution id {ms_id!r}; "
-                f"available: {', '.join(sorted(verif._ALPHAS))}"
-            )
-        cfg.manufactured = ms_id
-    if "forcing" in doc:
-        if doc["forcing"] not in ("manufactured", "zero"):
-            raise ConfigError("forcing must be 'manufactured' or 'zero'")
-        cfg.forcing = doc["forcing"]
-    if "seed" in doc:
-        seed = doc["seed"]
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
-        cfg.seed = seed
-    if "samples" in doc:
-        cfg.samples = _positive_int(doc["samples"], "samples")
-    if "data" in doc:
-        if not isinstance(doc["data"], str):
-            raise ConfigError("data must be a path string")
-        cfg.data = doc["data"]
-    if "output" in doc:
-        if not isinstance(doc["output"], str) or not doc["output"]:
-            raise ConfigError("output must be a nonempty path string")
-        cfg.output = doc["output"]
-
+    cfg = RunConfig(command)
+    for key in KEYS:
+        *where, name = key.path
+        section = _section(doc, tuple(where))
+        if section is not None and name in section:
+            setattr(cfg, key.attr, _checked(key, section[name]))
+        elif section is not None and key.required:
+            raise ConfigError(f"{'.'.join(key.path)} is required")
     _validate_command_args(cfg)
     return cfg
 
 
 def _validate_command_args(cfg: RunConfig):
+    if cfg.command in ("simulate", "study"):
+        if cfg.p is None:
+            raise ConfigError("model is required")
+        if cfg.t_end is None:
+            raise ConfigError("discretization.T is required")
     if cfg.command == "simulate":
         if cfg.n is None:
             raise ConfigError("discretization.n is required for simulate")
-        if cfg.t_end is None:
-            raise ConfigError("discretization.T is required")
         if cfg.n_steps is None:
             raise ConfigError("discretization.M is required for simulate")
     elif cfg.command == "study":
-        if cfg.t_end is None:
-            raise ConfigError("discretization.T is required")
         if cfg.levels is not None and cfg.steps is not None:
             raise ConfigError(
                 "discretization.levels and discretization.steps are mutually "
@@ -268,20 +257,15 @@ def _validate_command_args(cfg: RunConfig):
             raise ConfigError("study requires a manufactured solution id")
 
 
-def _write(path: Path, text: str):
-    path.write_text(text)
-    log.info("wrote %s", path)
-
-
 def _emit(outdir: Path, cfg: RunConfig, title: str, body: str,
           files: dict) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     resolved = json.dumps(cfg.resolved(), indent=2, sort_keys=True)
+    files = {**files, "resolved_config.json": resolved + "\n",
+             "report.txt": f"pfluid {title}\n\n{body}\nresolved config:\n{resolved}\n"}
     for name, text in files.items():
-        _write(outdir / name, text)
-    _write(outdir / "resolved_config.json", resolved + "\n")
-    _write(outdir / "report.txt",
-           f"pfluid {title}\n\n{body}\nresolved config:\n{resolved}\n")
+        (outdir / name).write_text(text)
+        log.info("wrote %s", outdir / name)
 
 
 def _run_simulate(cfg: RunConfig, outdir: Path) -> int:
@@ -305,14 +289,11 @@ def _run_simulate(cfg: RunConfig, outdir: Path) -> int:
     norms = traj.l2_norms(cfg.quad_flow)
     fsq = traj.f_norm_sq(cfg.quad_flow)
     energy = norms**2 + grid.kappa * np.concatenate([[0.0], np.cumsum(fsq[1:])])
-    lines = ["m,t_m,energy,divergence,iterations"]
     table = [["m", "t_m", "energy", "divergence", "iterations"]]
     for m, (tm, div) in enumerate(zip(grid.times(), traj.divergences())):
         its = traj.diagnostics[m - 1].iterations if m else 0
-        lines.append(f"{m},{tm:.10g},{energy[m]:.10g},{div:.10g},{its}")
         table.append([m, tm, energy[m], div, its])
-    _emit(outdir, cfg, "simulate", report(table),
-          {"trajectory.csv": "\n".join(lines) + "\n"})
+    _emit(outdir, cfg, "simulate", report(table), {"trajectory.csv": csv(table)})
     return 0
 
 
@@ -331,7 +312,7 @@ def _run_study(cfg: RunConfig, outdir: Path) -> int:
     result = verif.convergence_study(_study_config(cfg))
     quality = ["level,h_max,h_min,gamma"]
     for row in result.rows:
-        q = row.traj.v_space.mesh.quality()
+        q = row.quality
         quality.append(f"{row.level},{q.h_max:.12g},{q.h_min:.12g},{q.gamma:.12g}")
     _emit(outdir, cfg, "study", result.summary(),
           {"study.csv": result.csv(),
@@ -345,26 +326,23 @@ def _run_properties(cfg: RunConfig, outdir: Path) -> int:
     else:
         models = [StressModel(p, d) for p in DEFAULT_PROPERTY_GRID[0]
                   for d in DEFAULT_PROPERTY_GRID[1]]
-    lines = ["ratio,p,delta,ratio_min,ratio_max,seed"]
     table = [["ratio", "p", "delta", "ratio_min", "ratio_max", "seed"]]
     for model in models:
         env = equivalence_envelope(model, n_samples=cfg.samples, seed=cfg.seed)
         for name in RATIO_NAMES:
             lo, hi = env[name]
-            lines.append(f"{name},{model.p:.10g},{model.delta:.10g},"
-                         f"{lo:.10g},{hi:.10g},{cfg.seed}")
             table.append([name, model.p, model.delta, lo, hi, cfg.seed])
-    _emit(outdir, cfg, "properties", report(table),
-          {"properties.csv": "\n".join(lines) + "\n"})
+    _emit(outdir, cfg, "properties", report(table), {"properties.csv": csv(table)})
     return 0
 
 
 def _run_gronwall(cfg: RunConfig, outdir: Path) -> int:
     if cfg.data is not None:
         try:
-            raw = json.loads(Path(cfg.data).read_text())
-        except (OSError, json.JSONDecodeError) as e:
+            text = Path(cfg.data).read_text()
+        except OSError as e:
             raise ConfigError(f"cannot read Gronwall data {cfg.data!r}: {e}")
+        raw = _read_json(text, f"Gronwall data {cfg.data!r}")
         allowed = {f.name for f in dataclasses.fields(verif.GronwallData)}
         _require_keys(raw, allowed, "gronwall data")
         try:
@@ -390,18 +368,7 @@ def _run_gronwall(cfg: RunConfig, outdir: Path) -> int:
         table.append([name, rep.hypotheses_ok, rep.stepwise_ok,
                       rep.conclusion_ok, rep.mu0_required, rep.mu4_required,
                       rep.b_max])
-        results[name] = {
-            "hypotheses_ok": rep.hypotheses_ok,
-            "stepwise_ok": rep.stepwise_ok,
-            "stepwise_ok_bis": rep.stepwise_ok_bis,
-            "stepwise_ok_ter": rep.stepwise_ok_ter,
-            "conclusion_ok": rep.conclusion_ok,
-            "mu0_required": rep.mu0_required,
-            "mu4_required": rep.mu4_required,
-            "b_max": rep.b_max,
-            "violations_bis": rep.violations_bis,
-            "violations_ter": rep.violations_ter,
-        }
+        results[name] = {k: v for k, v in vars(rep).items() if k != "margins"}
     _emit(outdir, cfg, "gronwall-check", report(table),
           {"gronwall.json": json.dumps(results, indent=2, sort_keys=True) + "\n"})
     if cfg.data is not None:
@@ -415,7 +382,6 @@ def _run_gronwall(cfg: RunConfig, outdir: Path) -> int:
 def _run_bochner(cfg: RunConfig, outdir: Path) -> int:
     t_end = cfg.t_end if cfg.t_end is not None else 1.0
     step_counts = cfg.steps if cfg.steps is not None else (4, 8, 16)
-    lines = ["family,M,kappa,lhs,rhs,holds"]
     table = [["family", "M", "kappa", "lhs", "rhs", "holds"]]
     failures = []
     slopes = []
@@ -425,8 +391,6 @@ def _run_bochner(cfg: RunConfig, outdir: Path) -> int:
         for M in step_counts:
             grid = TimeGrid(t_end, M)
             rep = verif.bochner_check(f, df, grid)
-            lines.append(f"{family},{M},{grid.kappa:.10g},{rep.lhs:.10g},"
-                         f"{rep.rhs:.10g},{rep.holds}")
             table.append([family, M, grid.kappa, rep.lhs, rep.rhs, rep.holds])
             if not rep.holds:
                 failures.append((family, M))
@@ -436,7 +400,7 @@ def _run_bochner(cfg: RunConfig, outdir: Path) -> int:
             slope = float(np.polyfit(np.log(kap_list), np.log(lhs_list), 1)[0])
             slopes.append(f"{family}: lhs ~ kappa^{slope:.3f}")
     body = report(table) + "\n" + "\n".join(slopes) + "\n"
-    _emit(outdir, cfg, "bochner-check", body, {"bochner.csv": "\n".join(lines) + "\n"})
+    _emit(outdir, cfg, "bochner-check", body, {"bochner.csv": csv(table)})
     if failures:
         raise CheckFailureError(f"Bochner bound violated for {failures}")
     return 0
@@ -458,9 +422,16 @@ def run(cfg: RunConfig, output_dir=None) -> int:
     return _RUNNERS[cfg.command](cfg, outdir)
 
 
-def _error_json(exc, code):
-    return json.dumps({"error": type(exc).__name__, "message": str(exc),
-                       "exit_code": code}, sort_keys=True)
+# first match wins; ConfigError is a ValueError
+_EXIT_CODES = ((NonConvergenceError, 3), (CheckFailureError, 4), (ValueError, 2),
+               (Exception, 5))
+
+
+def _fail(exc, code) -> int:
+    """Print the one JSON error object and return the exit code."""
+    print(json.dumps({"error": type(exc).__name__, "message": str(exc),
+                      "exit_code": code}, sort_keys=True), file=sys.stderr)
+    return code
 
 
 def main(argv=None) -> int:
@@ -482,35 +453,17 @@ def main(argv=None) -> int:
     try:
         text = Path(args.config).read_text()
     except OSError as e:
-        print(_error_json(e, 2), file=sys.stderr)
-        return 2
+        return _fail(e, 2)
     try:
         cfg = parse_config(text)
         if args.seed is not None:
-            cfg.seed = args.seed
-    except ConfigError as e:
-        print(_error_json(e, 2), file=sys.stderr)
-        return 2
-    try:
+            cfg.seed = _checked(SEED, args.seed)
         return run(cfg, args.output)
-    except ConfigError as e:
-        print(_error_json(e, 2), file=sys.stderr)
-        return 2
-    except NonConvergenceError as e:
-        print(_error_json(e, 3), file=sys.stderr)
-        return 3
-    except CheckFailureError as e:
-        print(_error_json(e, 4), file=sys.stderr)
-        return 4
-    except ValueError as e:
-        # module-level rejection of inconsistent run parameters
-        print(_error_json(e, 2), file=sys.stderr)
-        return 2
     except Exception as e:
-        # any other failure still ends in the one JSON error object
-        log.debug("unexpected error", exc_info=True)
-        print(_error_json(e, 5), file=sys.stderr)
-        return 5
+        code = next(code for kind, code in _EXIT_CODES if isinstance(e, kind))
+        if code == 5:
+            log.debug("unexpected error", exc_info=True)
+        return _fail(e, code)
 
 
 if __name__ == "__main__":

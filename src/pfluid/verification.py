@@ -11,17 +11,16 @@ time-increment (Bochner) bound and for the discrete inf-sup constant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-import io
 
 import numpy as np
 
 from . import assembly
 from .fespace import FESpace, element_pair
-from .mesh import unit_square_mesh
+from .mesh import MeshQuality, unit_square_mesh
 from .pstructure import (DegenerateGradientError, StressModel, _safe_pow,
                          sym_components, sym_norm)
 from .stepper import SolverOptions, TimeGrid, Trajectory, run_simulation
-from .tables import report
+from .tables import csv, report
 
 
 # -- manufactured solutions --------------------------------------------
@@ -443,7 +442,7 @@ class StudyRow:
     energy: float
     compat: float  # h^(4/p') / kappa, the coupling monitor
     record: ErrorRecord = field(repr=False, default=None)
-    traj: Trajectory = field(repr=False, default=None)
+    quality: MeshQuality = field(repr=False, default=None)
 
 
 CSV_HEADER = "p,delta,level,h,kappa,err_L2max,err_Fagg,eoc_L2,eoc_F,gronwall_mu4,energy"
@@ -455,17 +454,11 @@ class StudyResult:
     rows: list
 
     def csv(self) -> str:
-        out = io.StringIO()
-        out.write(CSV_HEADER + "\n")
-        for r in self.rows:
-            eoc_l2 = "" if np.isnan(r.eoc_l2) else f"{r.eoc_l2:.10g}"
-            eoc_f = "" if np.isnan(r.eoc_f) else f"{r.eoc_f:.10g}"
-            out.write(
-                f"{r.p:.10g},{r.delta:.10g},{r.level},{r.h:.10g},{r.kappa:.10g},"
-                f"{r.err_l2max:.10g},{r.err_fagg:.10g},{eoc_l2},{eoc_f},"
-                f"{r.gronwall_mu4:.10g},{r.energy:.10g}\n"
-            )
-        return out.getvalue()
+        return csv([CSV_HEADER.split(",")] + [
+            [r.p, r.delta, r.level, r.h, r.kappa, r.err_l2max, r.err_fagg,
+             r.eoc_l2, r.eoc_f, r.gronwall_mu4, r.energy]
+            for r in self.rows
+        ])
 
     def summary(self) -> str:
         cfg = self.config
@@ -522,15 +515,15 @@ def convergence_study(config: StudyConfig) -> StudyResult:
     if config.mode == "coupled":
         for n in config.levels:
             mesh = unit_square_mesh(n)
-            h = mesh.quality().h_max
-            M = max(1, round(config.t_end / (config.sigma * h)))
-            runs.append((n, mesh, h, TimeGrid(config.t_end, M)))
+            q = mesh.quality()
+            M = max(1, round(config.t_end / (config.sigma * q.h_max)))
+            runs.append((n, mesh, q, TimeGrid(config.t_end, M)))
     else:
         mesh = unit_square_mesh(config.n_fixed)
-        h = mesh.quality().h_max
+        q = mesh.quality()
         for M in config.steps:
-            runs.append((config.n_fixed, mesh, h, TimeGrid(config.t_end, int(M))))
-    compat = [h ** (4.0 / pprime) / grid.kappa for _, _, h, grid in runs]
+            runs.append((config.n_fixed, mesh, q, TimeGrid(config.t_end, int(M))))
+    compat = [q.h_max ** (4.0 / pprime) / grid.kappa for _, _, q, grid in runs]
     # kappa = sigma*h only satisfies h^(4/p') <= sigma0*kappa under
     # refinement when the monitor does not grow (needs p > 4/3)
     if config.mode == "coupled" and np.any(np.diff(compat) > 1e-12):
@@ -540,7 +533,7 @@ def convergence_study(config: StudyConfig) -> StudyResult:
         )
 
     rows = []
-    for (n, mesh, _, grid), monitor in zip(runs, compat):
+    for (n, mesh, q, grid), monitor in zip(runs, compat):
         ev, eq = element_pair(config.element)
         V = FESpace(mesh, ev, n_components=2)
         Q = FESpace(mesh, eq, n_components=1)
@@ -557,7 +550,7 @@ def convergence_study(config: StudyConfig) -> StudyResult:
                 eoc_l2=np.nan, eoc_f=np.nan,
                 gronwall_mu4=g.mu4_required,
                 energy=energy["max_l2_sq"] + energy["dissipation"],
-                compat=monitor, record=rec, traj=traj,
+                compat=monitor, record=rec, quality=q,
             )
         )
 

@@ -2,6 +2,8 @@
 resolved-config round-trips, and exit codes."""
 
 import json
+from pathlib import Path
+import re
 
 import numpy as np
 import pytest
@@ -75,6 +77,11 @@ def test_model_validation():
         simulate_doc(model={"p": 1.0, "delta": 0.1}))
     assert "delta must be >= 0" in parse_error(
         simulate_doc(model={"p": 1.8, "delta": -0.1}))
+    # bool is an int subclass in Python; true must not pass as 1
+    assert "p must lie in (1,2]" in parse_error(
+        simulate_doc(model={"p": True, "delta": 0.1}))
+    assert "delta must be >= 0" in parse_error(
+        simulate_doc(model={"p": 1.8, "delta": True}))
     assert "model.p is required" in parse_error(
         simulate_doc(model={"delta": 0.1}))
     assert "model.delta is required" in parse_error(
@@ -97,6 +104,12 @@ def test_discretization_validation():
     doc = simulate_doc()
     doc["discretization"]["n"] = 0
     assert "integer >= 1" in parse_error(doc)
+    doc = simulate_doc()
+    doc["discretization"]["T"] = True
+    assert "T must be > 0" in parse_error(doc)
+    doc = simulate_doc()
+    doc["discretization"]["sigma"] = True
+    assert "sigma must be > 0" in parse_error(doc)
 
 
 def test_study_argument_validation():
@@ -231,17 +244,45 @@ def test_properties_seed_sensitivity(tmp_path):
     assert header == "ratio,p,delta,ratio_min,ratio_max,seed"
 
 
-def test_resolved_config_round_trip(tmp_path):
-    doc = {"command": "properties", "model": {"p": 1.6, "delta": 0.01},
-           "samples": 300}
+def artifacts(outdir):
+    return {path.name: path.read_bytes() for path in sorted(outdir.iterdir())}
+
+
+@pytest.mark.parametrize("doc", [
+    simulate_doc(manufactured="smooth-periodic"),
+    {"command": "study", "model": {"p": 2.0, "delta": 1.0},
+     "discretization": {"T": 0.1, "levels": [2, 4], "sigma": 0.5}},
+    {"command": "properties", "model": {"p": 1.6, "delta": 0.01},
+     "samples": 300},
+    {"command": "gronwall-check"},
+    {"command": "bochner-check", "discretization": {"steps": [2, 4]}},
+], ids=lambda doc: doc["command"])
+def test_resolved_config_round_trip(tmp_path, doc):
     first = tmp_path / "first"
     assert main(["--config", write_config(tmp_path, doc),
                  "--output", str(first)]) == 0
     second = tmp_path / "second"
     assert main(["--config", str(first / "resolved_config.json"),
                  "--output", str(second)]) == 0
-    assert (first / "properties.csv").read_bytes() == \
-        (second / "properties.csv").read_bytes()
+    assert artifacts(first) == artifacts(second)
+
+
+def test_seed_override_is_validated(tmp_path, capsys):
+    doc = {"command": "properties", "model": {"p": 1.6, "delta": 0.01},
+           "samples": 300}
+    cfgfile = write_config(tmp_path, doc)
+    bad = tmp_path / "bad"
+    assert main(["--config", cfgfile, "--output", str(bad), "--seed", "-1"]) == 2
+    payload = stderr_payload(capsys)
+    assert payload["error"] == "ConfigError"
+    assert "seed must be a nonnegative integer" in payload["message"]
+    assert not bad.exists()
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["--config", cfgfile, "--output", str(first), "--seed", "7"]) == 0
+    assert json.loads((first / "resolved_config.json").read_text())["seed"] == 7
+    assert main(["--config", str(first / "resolved_config.json"),
+                 "--output", str(second)]) == 0
+    assert artifacts(first) == artifacts(second)
 
 
 def test_study_cli_coupled(tmp_path):
@@ -387,6 +428,32 @@ def test_gronwall_bad_data_file(tmp_path, capsys):
     assert main(["--config", write_config(tmp_path, doc),
                  "--output", str(tmp_path / "o")]) == 2
     assert "unknown config key" in stderr_payload(capsys)["message"]
+
+
+@pytest.mark.parametrize("text,message", [
+    ("5", "must be a JSON object"),
+    ('{"kappa": 0.1, "h": 0.1, "p": 1.8, "a": [NaN, 0], "b": [0, 0]}',
+     "non-finite number NaN"),
+], ids=["not-an-object", "nan"])
+def test_gronwall_data_file_read_like_config(tmp_path, capsys, text, message):
+    datafile = tmp_path / "data.json"
+    datafile.write_text(text)
+    doc = {"command": "gronwall-check", "data": str(datafile)}
+    out = tmp_path / "o"
+    assert main(["--config", write_config(tmp_path, doc),
+                 "--output", str(out)]) == 2
+    payload = stderr_payload(capsys)
+    assert payload["error"] == "ConfigError"
+    assert message in payload["message"]
+    assert not out.exists()
+
+
+def test_readme_example_configs_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = re.findall(r"```json\n(.*?)```", readme, re.S)
+    assert examples
+    for text in examples:
+        parse_config(text)
 
 
 def test_log_env_variable(tmp_path, monkeypatch):
