@@ -75,8 +75,10 @@ def _positive_int(v):
     return _integer(v) and v >= 1
 
 
-def _positive_ints(v):
-    return isinstance(v, list) and bool(v) and all(map(_positive_int, v))
+def _increasing_counts(v):
+    # a refinement sequence: integers >= 1, each larger than the last
+    return (isinstance(v, list) and bool(v) and all(map(_positive_int, v))
+            and all(a < b for a, b in zip(v, v[1:])))
 
 
 KEYS = (
@@ -88,14 +90,14 @@ KEYS = (
         lambda v: v in ("MINI", "TH", "P2P1"), "element must be MINI, TH or P2P1"),
     Key("n", ("discretization", "n"), None, _positive_int,
         "discretization.n must be an integer >= 1"),
-    Key("levels", ("discretization", "levels"), None, _positive_ints,
-        "levels must each be >= 1", tuple),
+    Key("levels", ("discretization", "levels"), None, _increasing_counts,
+        "levels must each be >= 1 and strictly increasing", tuple),
     Key("t_end", ("discretization", "T"), None, lambda v: _number(v) and v > 0.0,
         "T must be > 0", float),
     Key("n_steps", ("discretization", "M"), None, _positive_int,
         "M must be an integer >= 1"),
-    Key("steps", ("discretization", "steps"), None, _positive_ints,
-        "steps must each be >= 1", tuple),
+    Key("steps", ("discretization", "steps"), None, _increasing_counts,
+        "steps must each be >= 1 and strictly increasing", tuple),
     Key("sigma", ("discretization", "sigma"), None,
         lambda v: _number(v) and v > 0.0, "sigma must be > 0", float),
     Key("quad_flow", ("discretization", "quadrature", "flow"), 5, _positive_int,
@@ -286,11 +288,10 @@ def _run_simulate(cfg: RunConfig, outdir: Path) -> int:
                 else verif.load_from(ms, model, V, cfg.quad_flow))
     traj = run_simulation(V, Q, model, grid, u0, load, options=opts)
 
-    norms = traj.l2_norms(cfg.quad_flow)
-    fsq = traj.f_norm_sq(cfg.quad_flow)
+    norms, fsq = verif.state_norms(traj, cfg.quad_flow)
     energy = norms**2 + grid.kappa * np.concatenate([[0.0], np.cumsum(fsq[1:])])
     table = [["m", "t_m", "energy", "divergence", "iterations"]]
-    for m, (tm, div) in enumerate(zip(grid.times(), traj.divergences())):
+    for m, (tm, div) in enumerate(zip(grid.times(), verif.divergences(traj))):
         its = traj.diagnostics[m - 1].iterations if m else 0
         table.append([m, tm, energy[m], div, its])
     _emit(outdir, cfg, "simulate", report(table), {"trajectory.csv": csv(table)})

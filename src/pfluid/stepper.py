@@ -37,12 +37,10 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-import time
 
 import numpy as np
 
 from . import assembly
-from .pstructure import sym_norm
 
 TOL = 1e-10  # times the norm of the fixed part of the step rhs
 ABS_TOL = 1e-14
@@ -289,7 +287,9 @@ class StepperContext:
 
 @dataclass
 class Trajectory:
-    """Discrete solution history over a time grid."""
+    """Discrete solution history over a time grid: U^m and Q^m for
+    m = 0..M and one StepDiagnostics per step.  The measures of a run
+    (norms, energy, divergence, errors) live in ``verification``."""
 
     v_space: object
     q_space: object
@@ -298,44 +298,6 @@ class Trajectory:
     velocities: list
     pressures: list
     diagnostics: list = field(default_factory=list)
-    wall_time: float = 0.0
-
-    def l2_norms(self, degree=5):
-        """||u_h^m||_2 for m = 0..M."""
-        out = []
-        for U in self.velocities:
-            vals = self.v_space.eval_at_qp(U, degree)
-            out.append(
-                float(np.sqrt(self.v_space.integrate(np.sum(vals * vals, -1), degree)))
-            )
-        return np.array(out)
-
-    def f_norm_sq(self, degree=5):
-        """||F(Du_h^m)||_2^2 for m = 0..M, with |F(Du)| = f_weight(t) t
-        and t = |sym Du| from its three components."""
-        sym_op = self.v_space.sym_grad_operator(degree)
-        out = []
-        for U in self.velocities:
-            t = sym_norm(*(sym_op @ U).reshape(3, self.v_space.mesh.n_cells, -1))
-            Fn = self.model.f_weight(t) * t
-            out.append(float(self.v_space.integrate(Fn * Fn, degree)))
-        return np.array(out)
-
-    def energy_report(self, degree=5):
-        norms = self.l2_norms(degree)
-        fsq = self.f_norm_sq(degree)
-        return {
-            "max_l2_sq": float(np.max(norms**2)),
-            "dissipation": float(self.grid.kappa * np.sum(fsq[1:])),
-        }
-
-    def divergences(self):
-        """max_e |(div u_h^m, psi_e)| / ||psi_e||_2 over the pressure
-        basis, for m = 0..M."""
-        B = assembly.assemble_divergence(self.v_space, self.q_space)
-        psi_norms = np.sqrt(assembly.assemble_mass(self.q_space).diagonal())
-        return np.array([float(np.max(np.abs(B @ U) / psi_norms))
-                         for U in self.velocities])
 
 
 def div_preserving_projection(ctx: StepperContext, u0, degree=7) -> np.ndarray:
@@ -370,7 +332,6 @@ def run_simulation(v_space, q_space, model, grid: TimeGrid, u0, load=None,
     opts = options or SolverOptions()
     if grid.kappa > 1.0:
         raise ValueError(f"time step kappa={grid.kappa:.3g} must be <= 1")
-    t0 = time.perf_counter()
     ctx = StepperContext(v_space, q_space, model, grid.kappa, opts)
     U0 = div_preserving_projection(ctx, u0, degree=max(opts.quad_degree, 5))
     velocities = [U0]
@@ -385,7 +346,4 @@ def run_simulation(v_space, q_space, model, grid: TimeGrid, u0, load=None,
         pressures.append(Q)
         diags.append(diag)
         U_prev, Q_prev = U, Q
-    return Trajectory(
-        v_space, q_space, model, grid, velocities, pressures, diags,
-        wall_time=time.perf_counter() - t0,
-    )
+    return Trajectory(v_space, q_space, model, grid, velocities, pressures, diags)

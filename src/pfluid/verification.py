@@ -10,7 +10,9 @@ time-increment (Bochner) bound and for the discrete inf-sup constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+import math
+import numbers
 
 import numpy as np
 
@@ -295,15 +297,14 @@ class ErrorRecord:
     """Per-step error norms of a trajectory against the exact solution.
 
     a_m = ||u_h^m - u(t_m)||_2 and the F-increment distance b_m are
-    stored for m = 0..M; the Lebesgue gradient norms feed the Gronwall
-    harvest.  Aggregates follow the error-estimate form
+    stored for m = 0..M; the exact solution's ||Du(t_m)||_p feeds the
+    Gronwall harvest.  Aggregates follow the error-estimate form
     max_m a_m^2 + kappa sum b_m^2.
     """
 
     times: np.ndarray
     l2: np.ndarray           # a_m
     f_dist: np.ndarray       # b_m
-    grad_p_err: np.ndarray   # ||D(u_h - u)||_p
     grad_p_exact: np.ndarray  # ||Du(t_m)||_p
     kappa: float
     h: float
@@ -335,7 +336,8 @@ def error_record(traj: Trajectory, ms: ManufacturedSolution, model=None,
     built once per record, and ``sym_components`` of the exact gradient),
     so F(Du) = f_weight(|sym Du|) sym Du and every norm is formed from them.  The
     exact profile u_hat and its sym D u_hat are evaluated once, at the
-    degree rule's points, and scaled by alpha(t_m) at each step.
+    degree rule's points, and scaled by alpha(t_m) at each step; so is
+    ||D u_hat||_p, which gives ||Du(t_m)||_p = |alpha(t_m)| ||D u_hat||_p.
     """
     model = model or traj.model
     sp_v = traj.v_space
@@ -346,10 +348,10 @@ def error_record(traj: Trajectory, ms: ManufacturedSolution, model=None,
     t_hat = sym_norm(*A_hat)
     del G_hat
     p = model.p
+    gp_hat = sp_v.integrate(t_hat**p, degree) ** (1.0 / p)
     times = traj.grid.times()
     l2 = np.zeros(len(times))
     f_dist = np.zeros(len(times))
-    gperr = np.zeros(len(times))
     gpex = np.zeros(len(times))
     for m, tm in enumerate(times):
         U = traj.velocities[m]
@@ -365,13 +367,38 @@ def error_record(traj: Trajectory, ms: ManufacturedSolution, model=None,
         th, te = sym_norm(*Ah), abs(al) * t_hat
         dF = sym_norm(*(model.f_weight(th) * Ah - model.f_weight(te) * Ae))
         f_dist[m] = np.sqrt(sp_v.integrate(dF * dF, degree))
-        gperr[m] = sp_v.integrate(sym_norm(*(Ah - Ae)) ** p, degree) ** (1.0 / p)
-        gpex[m] = sp_v.integrate(te**p, degree) ** (1.0 / p)
+        gpex[m] = abs(al) * gp_hat
     q = sp_v.mesh.quality()
     return ErrorRecord(
-        times=times, l2=l2, f_dist=f_dist, grad_p_err=gperr, grad_p_exact=gpex,
+        times=times, l2=l2, f_dist=f_dist, grad_p_exact=gpex,
         kappa=traj.grid.kappa, h=q.h_max, p=p, delta=model.delta,
     )
+
+
+def state_norms(traj: Trajectory, degree=5):
+    """(l2, f_sq): ||u_h^m||_2 and ||F(Du_h^m)||_2^2 for m = 0..M, in one
+    pass over the states, with |F(Du)| = f_weight(t) t and t = |sym Du|
+    from its three components."""
+    sp_v = traj.v_space
+    sym_op = sp_v.sym_grad_operator(degree)
+    l2 = np.zeros(len(traj.velocities))
+    f_sq = np.zeros(len(traj.velocities))
+    for m, U in enumerate(traj.velocities):
+        vals = sp_v.eval_at_qp(U, degree)
+        l2[m] = np.sqrt(sp_v.integrate(np.sum(vals * vals, -1), degree))
+        t = sym_norm(*(sym_op @ U).reshape(3, sp_v.mesh.n_cells, -1))
+        Fn = traj.model.f_weight(t) * t
+        f_sq[m] = sp_v.integrate(Fn * Fn, degree)
+    return l2, f_sq
+
+
+def divergences(traj: Trajectory):
+    """max_e |(div u_h^m, psi_e)| / ||psi_e||_2 over the pressure
+    basis, for m = 0..M."""
+    B = assembly.assemble_divergence(traj.v_space, traj.q_space)
+    psi_norms = np.sqrt(assembly.assemble_mass(traj.q_space).diagonal())
+    return np.array([float(np.max(np.abs(B @ U) / psi_norms))
+                     for U in traj.velocities])
 
 
 def eoc_pairs(errors, hs):
@@ -397,7 +424,8 @@ class StudyConfig:
 
     mode "coupled" refines mesh and time step together with
     kappa = sigma*h; mode "temporal" fixes the n_fixed mesh and runs
-    each step count in ``steps``.
+    each step count in ``steps``.  Both are strictly increasing
+    sequences of integers >= 1: refinement, not repetition.
     """
 
     p: float
@@ -420,6 +448,11 @@ class StudyConfig:
             raise ValueError("sigma must be positive")
         if self.t_end <= 0.0:
             raise ValueError("t_end must be positive")
+        for name in ("levels", "steps"):
+            counts = getattr(self, name)
+            if (not counts or min(counts) < 1
+                    or any(a >= b for a, b in zip(counts, counts[1:]))):
+                raise ValueError(f"{name} must each be >= 1 and strictly increasing")
 
     @property
     def guaranteed_range(self):
@@ -542,14 +575,14 @@ def convergence_study(config: StudyConfig) -> StudyResult:
                               options=opts)
         rec = error_record(traj, ms, model, degree=config.quad_error)
         g = gronwall_check(harvest_gronwall(rec))
-        energy = traj.energy_report(config.quad_flow)
+        l2, f_sq = state_norms(traj, config.quad_flow)
         rows.append(
             StudyRow(
                 p=config.p, delta=config.delta, level=n, h=rec.h,
                 kappa=grid.kappa, err_l2max=rec.l2_max, err_fagg=rec.f_agg,
                 eoc_l2=np.nan, eoc_f=np.nan,
                 gronwall_mu4=g.mu4_required,
-                energy=energy["max_l2_sq"] + energy["dissipation"],
+                energy=float(np.max(l2**2) + grid.kappa * np.sum(f_sq[1:])),
                 compat=monitor, record=rec, quality=q,
             )
         )
@@ -568,7 +601,9 @@ class GronwallData:
     """Sequences and constants of the discrete Gronwall inequality.
 
     a, b cover m = 0..M; the auxiliary sequences r, s, rho, sigma cover
-    m = 1..M and default to zero.  theta must lie in (0, 1].
+    m = 1..M and default to zero.  The scalars are finite real numbers
+    (not booleans) with kappa > 0, h > 0, p in (1, 2], theta in (0, 1]
+    and 0 <= lam <= Lam.
     """
 
     kappa: float
@@ -591,6 +626,16 @@ class GronwallData:
     mu5: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type in ("float", float) and not (
+                    isinstance(v, numbers.Real) and not isinstance(v, bool)
+                    and math.isfinite(v)):
+                raise ValueError(f"{f.name} must be a finite number, got {v!r}")
+        if not (self.kappa > 0.0 and self.h > 0.0):
+            raise ValueError("need kappa > 0 and h > 0")
+        if not (1.0 < self.p <= 2.0):
+            raise ValueError("p must lie in (1, 2]")
         self.a = np.asarray(self.a, dtype=float)
         self.b = np.asarray(self.b, dtype=float)
         M = len(self.a) - 1
@@ -702,7 +747,7 @@ def gronwall_check(data: GronwallData) -> GronwallReport:
     )
 
 
-def harvest_gronwall(record: ErrorRecord, mus=None) -> GronwallData:
+def harvest_gronwall(record: ErrorRecord) -> GronwallData:
     """Map a computed error record onto Gronwall sequences.
 
     Only a_m (L2 error) and b_m (F-distance) are observable from a run;
@@ -715,13 +760,10 @@ def harvest_gronwall(record: ErrorRecord, mus=None) -> GronwallData:
     lam = record.delta + float(np.max(record.grad_p_exact))
     theta = (10.0 * p - 16.0) / (5.0 * p - 6.0)
     theta = min(max(theta, 1e-6), 1.0)
-    kw = dict(
+    return GronwallData(
         kappa=record.kappa, h=record.h, p=p, a=record.l2, b=record.f_dist,
         lam=lam, Lam=lam + float(np.max(record.f_dist)) + 1e-30, theta=theta,
     )
-    if mus:
-        kw.update(mus)
-    return GronwallData(**kw)
 
 
 # -- Bochner time-increment checker ------------------------------------

@@ -138,6 +138,20 @@ def test_study_argument_validation():
     assert "levels must each be >= 1" in parse_error(doc)
 
 
+@pytest.mark.parametrize("levels", [[8, 4], [4, 4]], ids=["descending", "repeated"])
+def test_levels_strictly_increasing(levels):
+    doc = {"command": "study", "model": {"p": 1.8, "delta": 0.1},
+           "discretization": {"T": 0.5, "levels": levels, "sigma": 0.25}}
+    assert "levels must each be >= 1 and strictly increasing" in parse_error(doc)
+
+
+@pytest.mark.parametrize("steps", [[8, 4], [4, 4]], ids=["descending", "repeated"])
+def test_steps_strictly_increasing(steps):
+    doc = {"command": "study", "model": {"p": 1.8, "delta": 0.1},
+           "discretization": {"T": 0.5, "n": 4, "steps": steps}}
+    assert "steps must each be >= 1 and strictly increasing" in parse_error(doc)
+
+
 def test_misc_field_validation():
     assert "unknown manufactured solution id" in parse_error(
         simulate_doc(manufactured="steady"))
@@ -430,11 +444,23 @@ def test_gronwall_bad_data_file(tmp_path, capsys):
     assert "unknown config key" in stderr_payload(capsys)["message"]
 
 
+def gronwall_data(**overrides):
+    return json.dumps({"kappa": 0.1, "h": 0.1, "p": 1.8, "a": [0, 0], "b": [0, 0],
+                       **overrides})
+
+
 @pytest.mark.parametrize("text,message", [
     ("5", "must be a JSON object"),
     ('{"kappa": 0.1, "h": 0.1, "p": 1.8, "a": [NaN, 0], "b": [0, 0]}',
      "non-finite number NaN"),
-], ids=["not-an-object", "nan"])
+    (gronwall_data(kappa="x"), "kappa must be a finite number"),
+    (gronwall_data(mu4="big"), "mu4 must be a finite number"),
+    (gronwall_data(kappa=True), "kappa must be a finite number"),
+    (gronwall_data(kappa=-1), "need kappa > 0 and h > 0"),
+    (gronwall_data(h=0), "need kappa > 0 and h > 0"),
+    (gronwall_data(p=3.5), "p must lie in (1, 2]"),
+], ids=["not-an-object", "nan", "kappa-string", "mu4-string", "kappa-bool",
+        "kappa-negative", "h-zero", "p-above-2"])
 def test_gronwall_data_file_read_like_config(tmp_path, capsys, text, message):
     datafile = tmp_path / "data.json"
     datafile.write_text(text)
@@ -442,7 +468,9 @@ def test_gronwall_data_file_read_like_config(tmp_path, capsys, text, message):
     out = tmp_path / "o"
     assert main(["--config", write_config(tmp_path, doc),
                  "--output", str(out)]) == 2
-    payload = stderr_payload(capsys)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1  # the one JSON error object, no warning before it
+    payload = json.loads(err[0])
     assert payload["error"] == "ConfigError"
     assert message in payload["message"]
     assert not out.exists()
