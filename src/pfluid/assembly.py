@@ -31,11 +31,12 @@ S(P) = (delta + |sym P|)^(p-2) sym P,
     DS(P) = g Sym + radial A (x) A,    A = sym P,
 
 with g = (delta + t)^(p-2) and radial = g'(t)/t = (p-2)(delta+t)^(p-3)/t,
-formed from the state's t.  Its element matrices are the
-g-weighted symmetric-gradient form, one matmul of the contiguous
-gradient rows with themselves, plus, for Newton only, the rank-one term
-radial v (x) v with v = (a d_x phi + c d_y phi, c d_x phi + b d_y phi)
-formed elementwise; Picard is the symmetric-gradient form with the
+formed from the state's t.  Its element matrices are the g-weighted
+symmetric-gradient form, one matmul of the contiguous gradient rows with
+themselves, plus, for Newton only, the rank-one term g'(t) t v (x) v
+with v = (a d_x phi + c d_y phi, c d_x phi + b d_y phi) for the unit
+direction (a, b, c) = A/t, formed elementwise; g'(t) t stays finite
+where radial overflows.  Picard is the symmetric-gradient form with the
 frozen weight max(delta+t, floor)^(p-2).  The floor scales with the
 iterate (see ``assemble_stress``).
 No 4-index tensor is formed.  The convection contracts one reference
@@ -69,21 +70,21 @@ to a cell (the MINI bubble) condensed out: it takes the element matrices
 of the A block, eliminates each cell's interior dofs on its element KKT
 matrix with a closed-form 2 x 2 inverse, and sums the condensed element
 matrices into a P1-P1 (MINI) or unchanged (Taylor-Hood) KKT pattern.
-That pattern is built once, with a scatter map per source of entries,
-and stored in a minimum-degree order of the structure of K + K^T (K the
-condensed matrix), computed once per pattern by a factorization with a
-dominant diagonal.  Its ``factor`` is the one factor-and-check routine:
-the Newton and Picard iterations and the initial projection
-(``stepper``) all use it, on the one system a run builds.
-``factor(A_local)`` condenses, factors in the stored order with static
-(diagonal) pivoting and returns a solver on the full unknowns that can
-be called with any number of right-hand sides.  The per-cell factors
-of the condensation become three sparse operators on the interior and
-retained unknowns: the rhs condensation b_r - E_ri A_ii^-1 b_i, A_ii^-1,
-and the interior recovery A_ii^-1 E_ir x_r.  Their CSR patterns are built
-with the KKT pattern, and a factorization fills only their data, so
-every call is three sparse matvecs around the triangular solves (empty
-operators for Taylor-Hood).  Every call condenses the rhs, checks that
+That pattern is built once, in the numbering of the retained unknowns,
+with a scatter map per source of entries.  Its ``factor`` is the one
+factor-and-check routine: the Newton and Picard iterations and the
+initial projection (``stepper``) all use it, on the one system a run
+builds.  ``factor(A_local)`` condenses, lets SuperLU order the columns
+by minimum degree on the structure of K + K^T (K the condensed matrix),
+factors with static (diagonal) pivoting and returns a solver on the full
+unknowns that can be called with any number of right-hand sides.  The
+per-cell factors of the condensation become three sparse operators on
+the interior and retained unknowns: the rhs condensation
+b_r - E_ri A_ii^-1 b_i, A_ii^-1, and the interior recovery
+A_ii^-1 E_ir x_r.  Their CSR patterns are built with the KKT pattern,
+and a factorization fills only their data, so every call is three
+sparse matvecs around the triangular solves (empty operators for
+Taylor-Hood).  Every call condenses the rhs, checks that
 the condensed solution is finite and that ||K x - b|| <=
 ``RESIDUAL_TOL`` ||b|| for the factored K, and otherwise refactors K
 once with COLAMD and partial pivoting, logging a WARNING, and keeps that
@@ -103,7 +104,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .fespace import element_by_name, quadrature_for
-from .pstructure import StressModel, _require_regular, _safe_pow, sym_norm
+from .pstructure import StressModel, _safe_pow, sym_norm
 
 log = logging.getLogger(__name__)
 
@@ -351,29 +352,29 @@ def assemble_stress(v_space, coeffs, model: StressModel, degree=5, jacobian="new
     if jacobian == "newton":
         # DS = g Sym + radial A (x) A: the g part is the weighted
         # symmetric-gradient form, the radial part the rank-one term
-        # radial v (x) v with v = (a d_x phi + c d_y phi, c d_x phi + b d_y phi)
+        # g'(t) t v (x) v with v = (a d_x phi + c d_y phi, c d_x phi + b d_y phi)
+        # for the unit direction (a, b, c) = A / t
         shift, g = model.delta, state.g
-        # the floor can only exceed delta when delta < JAC_DELTA_FLOOR
+        # the floor can only exceed delta when delta < JAC_DELTA_FLOOR; it
+        # is positive, since a positive t is at least about 2.2e-162
         if shift < JAC_DELTA_FLOOR:
             shift = max(shift, _shift_floor(t))
             if shift > model.delta:
                 g = _safe_pow(shift + t, model.p - 2.0)
-        _require_regular(shift, t)
-        # radial = g'(t)/t = (p-2)(shift+t)^(p-3)/t, zero at t = 0
-        tpos = t > 0.0
-        radial = np.where(tpos, (model.p - 2.0) * g
-                          / ((shift + t) * np.where(tpos, t, 1.0)), 0.0)
+        # g'(t) t = (p-2) g t/(shift+t) is at most |p-2| g, where radial =
+        # g'(t)/t overflows for t below about 1e-120; zero at t = 0
+        rank1 = (model.p - 2.0) * g * t / (shift + t)
         local = _sym_gradient_local(wd * g, G)
         D = G.reshape(nc, nloc, 2, -1)
         Dx, Dy = D[:, :, 0], D[:, :, 1]
-        a, b, c = state.a[:, None], state.b[:, None], state.c[:, None]
+        a, b, c = (state.sym / np.where(t > 0.0, t, 1.0))[:, :, None]
         V = np.empty((nc, 2, nloc, t.shape[1]))
         np.multiply(a, Dx, out=V[:, 0])
         V[:, 0] += c * Dy
         np.multiply(c, Dx, out=V[:, 1])
         V[:, 1] += b * Dy
         V = V.reshape(nc, 2 * nloc, -1)
-        local += np.matmul((wd * radial)[:, None, :] * V, np.swapaxes(V, 1, 2))
+        local += np.matmul((wd * rank1)[:, None, :] * V, np.swapaxes(V, 1, 2))
     elif jacobian == "picard":
         shift = np.maximum(model.delta + t, _shift_floor(t))
         local = _sym_gradient_local(wd * _safe_pow(shift, model.p - 2.0), G)
@@ -425,7 +426,7 @@ def assemble_convection(v_space, transport_coeffs, degree=None):
 
 class SaddleSystem:
     """Pinned KKT matrix with the element-interior velocity dofs condensed
-    out cell by cell, on a pattern built and ordered once.
+    out cell by cell, on a pattern built once.
 
     The full matrix is [A -B^T; B 0] on (u, q), with A the sum of element
     matrices A_c on ``v_space.local_vector_dofs()``.  A cell's interior
@@ -445,8 +446,7 @@ class SaddleSystem:
     Its CSC pattern holds the cells' velocity pairs, the nonzeros of B
     and -B^T and the pairs that meet through an interior block, outside
     the Dirichlet rows and columns and pressure dof ``PINNED``, which get
-    a unit diagonal instead.  Retained unknown j is stored at position
-    ``perm[j]``, a minimum-degree order of the pattern.
+    a unit diagonal instead.  Building the system factors nothing.
 
     ``factor(A_local)`` condenses and factors; its solver maps a rhs in
     the original (u, q) numbering, the numbering of ``rhs`` and
@@ -522,8 +522,7 @@ class SaddleSystem:
         cols = np.concatenate(cols + [diag, bq, bu])
         fixed_vals = np.concatenate([np.ones(len(diag)), -bval, bval])
 
-        self.perm = _minimum_degree_order(rows, cols, n)
-        keys = self.perm[cols].astype(np.int64) * n + self.perm[rows]
+        keys = cols.astype(np.int64) * n + rows
         # the entry lists and keys are the build's largest arrays: free
         # them as soon as they are read
         del rows, cols
@@ -544,16 +543,15 @@ class SaddleSystem:
         self._base = np.bincount(pos[start:], weights=fixed_vals, minlength=self.nnz)
 
         # CSR patterns of the solver's per-cell operators, on the interior
-        # unknowns (``_interior``, cell by cell) and the retained unknowns
-        # in stored order (``_stored``); a cell's (row, column) pairs are
-        # its own, so no entry repeats.  Each pattern keeps the flat index
-        # into W or X of its entries, in CSR order, to fill its data from.
+        # unknowns (``_interior``, cell by cell) and the retained unknowns;
+        # a cell's (row, column) pairs are its own, so no entry repeats.
+        # Each pattern keeps the flat index into W or X of its entries, in
+        # CSR order, to fill its data from.
         nc, ni = idofs.shape
         ncpl = cmap.shape[1]
         self._interior = idofs.ravel()
-        self._stored = self.retained[np.argsort(self.perm)]
         k = np.arange(nc * ni).reshape(nc, ni)
-        at = np.append(self.perm, -1)[cmap]  # stored position, -1: dump slot
+        at = np.where(cmap < n, cmap, -1)  # -1: dump slot
         w_src = np.arange(nc * (ni + ncpl) * ni).reshape(nc, ni + ncpl, ni)
         x_src = np.arange(nc * ni * ncpl).reshape(nc, ni, ncpl)
         # E_ri A_ii^-1 b_i, A_ii^-1 b_i and A_ii^-1 E_ir x_r
@@ -573,7 +571,7 @@ class SaddleSystem:
 
     def _condense(self, A_local):
         """(K, [A_ii^-1; E_ri A_ii^-1], A_ii^-1 E_ir) for the element
-        matrices A_local: K the condensed matrix in stored order, the
+        matrices A_local: K the condensed matrix on ``retained``, the
         rest per cell, on the retained unknowns that couple to the
         interior."""
         ii, kc = self._int_loc, self._coupled_loc
@@ -596,16 +594,18 @@ class SaddleSystem:
         solution, as often as it is called: it condenses the rhs, solves
         the condensed system, recovers the interior dofs cell by cell and
         shifts the pressure to zero mean (w @ q = 0).  The pinned
-        pressure's rhs entry is taken as 0.  The first LU keeps the
-        pattern's order and pivots on the diagonal.  When a condensed
-        solution is not finite or its relative residual against the
-        condensed matrix exceeds ``RESIDUAL_TOL``, that matrix is
-        refactored with COLAMD and partial pivoting, with a WARNING on
-        the ``pfluid.assembly`` logger, and that LU serves the later
-        calls.  Raises LinearSolveError when a solve with it fails the
-        check too.  The solver's ``K`` is the condensed matrix in stored
-        order and its ``fill_nnz`` the ``nnz`` of its current LU (0 when
-        that factorization failed).
+        pressure's rhs entry is taken as 0.  The first LU orders the
+        columns by minimum degree on K + K^T and, with a pivot threshold
+        of 0, takes each column's diagonal entry (its row moved by the
+        same order) as the pivot wherever it is nonzero.  When a
+        condensed solution is not finite or its relative residual
+        against the condensed matrix exceeds ``RESIDUAL_TOL``, that
+        matrix is refactored with COLAMD and partial pivoting, with a
+        WARNING on the ``pfluid.assembly`` logger, and that LU serves the
+        later calls.  Raises LinearSolveError when a solve with it fails
+        the check too.  The solver's ``K`` is the condensed matrix on
+        ``retained`` and its ``fill_nnz`` the ``nnz`` of its current LU
+        (0 when that factorization failed).
         """
         return _SaddleSolver(self, *self._condense(A_local))
 
@@ -668,21 +668,6 @@ def _fill(pattern, values):
     return sparse.csr_matrix((values.ravel()[src], indices, indptr), shape=shape)
 
 
-def _minimum_degree_order(rows, cols, n):
-    """Minimum-degree order of the pattern of K + K^T, as new positions.
-
-    SuperLU computes the order while it factors.  Unit off-diagonal
-    values and a diagonal of n make every diagonal pivot dominant, so
-    the factorization succeeds for any pattern and its static pivots
-    keep the order.
-    """
-    pattern = sparse.csc_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    pattern.data[:] = 1.0
-    lu = splu((pattern + n * sparse.identity(n)).tocsc(),
-              permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
-    return np.asarray(lu.perm_c)
-
-
 class _SaddleSolver:
     """LU of one condensed matrix of a ``SaddleSystem``, checked on every
     solve, with the sparse operators of the rhs condensation and the
@@ -696,7 +681,7 @@ class _SaddleSolver:
         self._rec = _fill(rec, X)
         self.partial = False
         self.fill_nnz = 0
-        self.lu = self._factor(permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        self.lu = self._factor(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
 
     def _factor(self, **options):
         self.system.factorizations += 1
@@ -723,7 +708,7 @@ class _SaddleSolver:
         x = np.array(rhs, dtype=float)
         x[kkt.nu + PINNED] = 0.0
         b_i = x[kkt._interior]
-        b = x[kkt._stored] - self._cond @ b_i
+        b = x[kkt.retained] - self._cond @ b_i
         y, rel = self._solve(b)
         if not rel <= RESIDUAL_TOL and not self.partial:
             log.warning("static-pivot LU rejected (relative residual %.3g); "
@@ -734,7 +719,7 @@ class _SaddleSolver:
             y, rel = self._solve(b)
         if not rel <= RESIDUAL_TOL:
             raise LinearSolveError(f"sparse LU failed (relative residual {rel:.3g})")
-        x[kkt._stored] = y
+        x[kkt.retained] = y
         # u_i = A_ii^-1 (b_i - E_ir x_r), with unit unknowns read as 0
         x[kkt._interior] = self._inv @ b_i - self._rec @ y
         q = x[kkt.nu :]

@@ -398,7 +398,7 @@ def _run_bochner(cfg: RunConfig, outdir: Path) -> int:
             lhs_list.append(rep.lhs)
             kap_list.append(grid.kappa)
         if min(lhs_list) > 0.0:
-            slope = float(np.polyfit(np.log(kap_list), np.log(lhs_list), 1)[0])
+            slope = verif.least_squares_rate(lhs_list, kap_list)
             slopes.append(f"{family}: lhs ~ kappa^{slope:.3f}")
     body = report(table) + "\n" + "\n".join(slopes) + "\n"
     _emit(outdir, cfg, "bochner-check", body, {"bochner.csv": csv(table)})

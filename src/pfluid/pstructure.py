@@ -18,13 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-# Below this symmetric-gradient magnitude the unregularized Jacobian
-# (delta = 0) overflows in double precision: t**(p-3) with p near 1.
-DEGENERATE_EPS = 1e-150
-
 
 class DegenerateGradientError(ValueError):
-    """Jacobian requested at sym P = 0 with delta = 0."""
+    """Stress derivative needed where it is singular: sym P = 0 with
+    delta = 0."""
 
 
 class ConjugateSolveError(RuntimeError):
@@ -54,16 +51,6 @@ def _safe_pow(base, expo):
     base = np.asarray(base, dtype=float)
     out = np.where(base > 0.0, base, 1.0) ** expo
     return np.where(base > 0.0, out, 0.0)
-
-
-def _require_regular(delta, t):
-    """Raise DegenerateGradientError when the stress Jacobian at shift
-    delta overflows somewhere |sym P| = t: delta = 0 and t < DEGENERATE_EPS."""
-    if delta == 0.0 and np.any(t < DEGENERATE_EPS):
-        raise DegenerateGradientError(
-            "degenerate gradient: stress Jacobian undefined at sym P = 0 "
-            "when delta = 0"
-        )
 
 
 @dataclass

@@ -328,8 +328,7 @@ class ErrorRecord:
         return self.combined_sq / (self.h**2 + self.kappa**2)
 
 
-def error_record(traj: Trajectory, ms: ManufacturedSolution, model=None,
-                 degree=7) -> ErrorRecord:
+def error_record(traj: Trajectory, ms: ManufacturedSolution, degree=7) -> ErrorRecord:
     """Per-step errors of traj against ms, one step at a time.
 
     sym Du is taken in its three components (``FESpace.sym_grad_operator``,
@@ -339,7 +338,7 @@ def error_record(traj: Trajectory, ms: ManufacturedSolution, model=None,
     degree rule's points, and scaled by alpha(t_m) at each step; so is
     ||D u_hat||_p, which gives ||Du(t_m)||_p = |alpha(t_m)| ||D u_hat||_p.
     """
-    model = model or traj.model
+    model = traj.model
     sp_v = traj.v_space
     xq = sp_v.tabulation(degree)[3]
     sym_op = sp_v.sym_grad_operator(degree)
@@ -573,7 +572,7 @@ def convergence_study(config: StudyConfig) -> StudyResult:
         traj = run_simulation(V, Q, model, grid, lambda X: ms.u(0.0, X),
                               load_from(ms, model, V, config.quad_flow),
                               options=opts)
-        rec = error_record(traj, ms, model, degree=config.quad_error)
+        rec = error_record(traj, ms, degree=config.quad_error)
         g = gronwall_check(harvest_gronwall(rec))
         l2, f_sq = state_norms(traj, config.quad_flow)
         rows.append(
@@ -596,14 +595,29 @@ def convergence_study(config: StudyConfig) -> StudyResult:
 
 # -- discrete Gronwall checker -----------------------------------------
 
+def _finite_real(v):
+    """True for a finite real number that is not a boolean."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _finite_sequence(name, v):
+    """v as a float array; raises ValueError unless v is a flat list,
+    tuple or array of finite real numbers (no booleans, no strings)."""
+    items = v.tolist() if isinstance(v, np.ndarray) else v
+    if not (isinstance(items, (list, tuple)) and all(map(_finite_real, items))):
+        raise ValueError(f"{name} must be a flat list of finite numbers")
+    return np.array(items, dtype=float)
+
+
 @dataclass
 class GronwallData:
     """Sequences and constants of the discrete Gronwall inequality.
 
     a, b cover m = 0..M; the auxiliary sequences r, s, rho, sigma cover
-    m = 1..M and default to zero.  The scalars are finite real numbers
-    (not booleans) with kappa > 0, h > 0, p in (1, 2], theta in (0, 1]
-    and 0 <= lam <= Lam.
+    m = 1..M and default to zero; every sequence is a flat list of finite
+    real numbers.  The scalars are finite real numbers (not booleans)
+    with kappa > 0, h > 0, p in (1, 2], theta in (0, 1] and
+    0 <= lam <= Lam.
     """
 
     kappa: float
@@ -628,22 +642,20 @@ class GronwallData:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if f.type in ("float", float) and not (
-                    isinstance(v, numbers.Real) and not isinstance(v, bool)
-                    and math.isfinite(v)):
+            if f.type in ("float", float) and not _finite_real(v):
                 raise ValueError(f"{f.name} must be a finite number, got {v!r}")
         if not (self.kappa > 0.0 and self.h > 0.0):
             raise ValueError("need kappa > 0 and h > 0")
         if not (1.0 < self.p <= 2.0):
             raise ValueError("p must lie in (1, 2]")
-        self.a = np.asarray(self.a, dtype=float)
-        self.b = np.asarray(self.b, dtype=float)
+        self.a = _finite_sequence("a", self.a)
+        self.b = _finite_sequence("b", self.b)
         M = len(self.a) - 1
         if len(self.b) != M + 1:
             raise ValueError("a and b must have length M+1")
         for name in ("r", "s", "rho", "sigma"):
             v = getattr(self, name)
-            v = np.zeros(M) if v is None else np.asarray(v, dtype=float)
+            v = np.zeros(M) if v is None else _finite_sequence(name, v)
             if len(v) != M:
                 raise ValueError(f"{name} must have length M")
             setattr(self, name, v)

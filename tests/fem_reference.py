@@ -13,7 +13,7 @@ import numpy as np
 from scipy import sparse
 
 from pfluid.assembly import LinearSolveError
-from pfluid.pstructure import _require_regular, _safe_pow
+from pfluid.pstructure import DegenerateGradientError, _safe_pow
 from pfluid.verification import ManufacturedSolution
 
 
@@ -83,7 +83,10 @@ def jacobian_factors(model, P):
     A = sym_part(P)
     t = tensor_norm(A)
     tot = model.delta + t
-    _require_regular(model.delta, t)
+    # below this |sym P| the unregularized (p-3) power overflows
+    if model.delta == 0.0 and np.any(t < 1e-150):
+        raise DegenerateGradientError("stress Jacobian undefined at sym P = 0 "
+                                      "when delta = 0")
     p = model.p
     g = _safe_pow(tot, p - 2.0)
     # the limit for t -> 0 (delta > 0) is zero since |A (x) A| = t^2

@@ -459,8 +459,15 @@ def gronwall_data(**overrides):
     (gronwall_data(kappa=-1), "need kappa > 0 and h > 0"),
     (gronwall_data(h=0), "need kappa > 0 and h > 0"),
     (gronwall_data(p=3.5), "p must lie in (1, 2]"),
+    (gronwall_data(a=[True, False]), "a must be a flat list of finite numbers"),
+    (gronwall_data(a=[1, True]), "a must be a flat list of finite numbers"),
+    (gronwall_data(a=["0", "0"]), "a must be a flat list of finite numbers"),
+    (gronwall_data(a=[0, None]), "a must be a flat list of finite numbers"),
+    (gronwall_data(b=[[0], [0]]), "b must be a flat list of finite numbers"),
+    (gronwall_data(r=0), "r must be a flat list of finite numbers"),
 ], ids=["not-an-object", "nan", "kappa-string", "mu4-string", "kappa-bool",
-        "kappa-negative", "h-zero", "p-above-2"])
+        "kappa-negative", "h-zero", "p-above-2", "a-bools", "a-with-bool",
+        "a-strings", "a-null", "b-nested", "r-scalar"])
 def test_gronwall_data_file_read_like_config(tmp_path, capsys, text, message):
     datafile = tmp_path / "data.json"
     datafile.write_text(text)

@@ -78,3 +78,6 @@ def test_traced_unit_of_a_small_workload(perfbench, tmp_path, capsys):
     layers = unit["layers"]
     assert layers["stepper.steps"] == 3
     assert layers["stepper.step_s"] > 0.0 and layers["cli.emit_s"] > 0.0
+    # no hidden factorization: the projection's LU and the steps' own
+    assert layers["assembly.factor_calls"] == 1 + sum(
+        diag.factorizations for _, _, diag, _ in recorder.records)

@@ -272,7 +272,7 @@ def test_static_pivot_failure_falls_back_to_partial_pivoting(
     def splu_bad_static(A, **options):
         lu = real_splu(A, **options)
         static = options.get("diag_pivot_thresh") == 0.0
-        return BadSolve(lu) if static and options.get("permc_spec") == "NATURAL" else lu
+        return BadSolve(lu) if static else lu
 
     monkeypatch.setattr(assembly, "splu", splu_bad_static)
     with caplog.at_level(logging.WARNING, logger="pfluid.assembly"):
@@ -309,7 +309,7 @@ def test_step_counts_pivot_fallbacks_and_fill(monkeypatch):
 
     def splu_static_rejected(A, **options):
         lus.append(real_splu(A, **options))
-        static = options.get("permc_spec") == "NATURAL"
+        static = options.get("diag_pivot_thresh") == 0.0
         return Inaccurate(lus[-1]) if static else lus[-1]
 
     monkeypatch.setattr(assembly, "splu", splu_static_rejected)
@@ -561,20 +561,29 @@ def test_failed_chord_direction_refactors(monkeypatch, failure):
 
 def test_run_orders_one_saddle_pattern(monkeypatch, caplog):
     """The projection of u0 solves on the stepper's KKT system, so a run
-    builds and orders one pattern, and every solve keeps static pivots."""
-    real_order = assembly._minimum_degree_order
-    sizes = []
+    builds one pattern, and every LU is ordered by SuperLU itself and
+    keeps static pivots."""
+    real_init, real_splu = assembly.SaddleSystem.__init__, assembly.splu
+    sizes, options = [], []
 
-    def counting_order(rows, cols, n):
-        sizes.append(n)
-        return real_order(rows, cols, n)
+    def counting_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        sizes.append(self.shape[0])
 
-    monkeypatch.setattr(assembly, "_minimum_degree_order", counting_order)
+    def recording_splu(A, **kwargs):
+        options.append(kwargs)
+        return real_splu(A, **kwargs)
+
+    monkeypatch.setattr(assembly.SaddleSystem, "__init__", counting_init)
+    monkeypatch.setattr(assembly, "splu", recording_splu)
     vs, qs = mini_spaces(4)
     with caplog.at_level(logging.WARNING, logger="pfluid.assembly"):
         run_simulation(vs, qs, StressModel(1.8, 0.1), TimeGrid(0.2, 2), bump)
     # the bubbles are condensed out: two velocity components per vertex
     assert sizes == [2 * vs.mesh.n_vertices + qs.n_dofs]
+    assert options and all(
+        o == {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0}
+        for o in options)
     assert not [r for r in caplog.records if r.name == "pfluid.assembly"]
 
 
